@@ -6,13 +6,13 @@ polynomial (Colombeau) scales for omega = log(1+t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridSpec, forward
-from .nets import (MACHINE_FLOOR, NetFunction, _bounded, _edge_mass,
-                   _tends_to_infinity, _tends_to_zero)
+from .nets import (FunctionScale, GrowthVerdict, NetFunction, _edge_mass,
+                   censor_at_floor, classify_growth)
 from .weights import WeightFunction
 
 #: lambda exponents sampled by the graded moderation test.
@@ -179,37 +179,12 @@ def norm_equivalence_check(f: np.ndarray, grid: GridSpec, w: WeightFunction,
         l2_holds=l2_holds)
 
 
-@dataclass(frozen=True)
-class BBVerdict:
-    """Growth classification of a net against exp(k*omega(1/eps)) scales."""
-
-    classification: str  # moderate | negligible | neither | inconclusive
-    mode: str
-    fitted: dict
-    kappa: dict = field(repr=False)
-    nu: np.ndarray = field(repr=False)
-
-    @property
-    def moderate(self) -> bool:
-        return self.classification in ("moderate", "negligible")
-
-    @property
-    def negligible(self) -> bool:
-        return self.classification == "negligible"
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification,
-            "mode": self.mode,
-            "fitted": {str(k): float(v) for k, v in self.fitted.items()},
-            "kappa": {str(k): [float(x) for x in tr]
-                      for k, tr in self.kappa.items()},
-            "nu": [float(x) for x in self.nu],
-        }
+def _frame_sups(a: NetFunction) -> np.ndarray:
+    return np.array([float(np.max(np.abs(fr))) for fr in a.frames])
 
 
 def classify_net_bb(a: NetFunction, w: WeightFunction,
-                    mode: str = None) -> BBVerdict:
+                    mode: str = None) -> GrowthVerdict:
     """Moderate / negligible verdict at exp(k*omega(1/eps)) scales.
 
     Moderation grades the weighted FL1 norms over the lambda grid: the
@@ -218,57 +193,12 @@ def classify_net_bb(a: NetFunction, w: WeightFunction,
     stay bounded, Roumieu asks some lambda to.  Negligibility is decided on
     the 0-th order sup norms via nu_j = (-log S_eps)/omega(1/eps_j), which
     the weight-function null characterization licenses."""
-    mode = mode or a.mode
-    if mode not in ("beurling", "roumieu"):
-        raise ValueError("mode must be 'beurling' or 'roumieu'")
-    if a.ladder.count < 6:
-        raise ValueError("classification needs at least 6 rungs")
-    omega_inv = w(1.0 / a.ladder.values)
-    if np.any(omega_inv <= 0):
-        raise ValueError("omega(1/eps) must be positive on the ladder")
-
-    kappas = {}
-    bounded_per_lam = {}
-    tozero_per_lam = {}
-    fitted = {}
-    for lam in LAMBDA_GRID:
-        ladder = omega_norm_ladder(a, w, lam, "1")
-        kappa = np.maximum(ladder.log_values, 0.0) / omega_inv
-        kappas[lam] = kappa
-        bounded_per_lam[lam] = _bounded(kappa)
-        tozero_per_lam[lam] = _tends_to_zero(kappa)
-        fitted[f"k_at_lambda={lam:g}"] = float(np.max(kappa[len(kappa) // 2:]))
-
-    sups = np.array([float(np.max(np.abs(fr))) for fr in a.frames])
-    scale = float(np.max(sups)) if sups.size else 0.0
-    floor = MACHINE_FLOOR * (1.0 + scale)
-    at_floor = bool(np.max(sups) <= floor)
-    log_sups = np.log(np.maximum(sups, floor))
-    nu = -log_sups / omega_inv
-    # rungs indistinguishable from zero certify any decay rate
-    nu_eff = np.where(sups <= floor, np.inf, nu)
-    if mode == "beurling":
-        negligible = at_floor or _tends_to_infinity(nu_eff)
-        moderate = all(bounded_per_lam.values())
-    else:
-        negligible = at_floor or bool(np.min(nu_eff) >= 0.05)
-        moderate = any(bounded_per_lam.values()) or any(
-            tozero_per_lam.values())
-    fitted["k_negligible"] = float(np.min(nu))
-    if negligible:
-        classification = "negligible"
-    elif moderate:
-        classification = "moderate"
-    else:
-        lam_hard = min(LAMBDA_GRID)
-        kappa = kappas[lam_hard]
-        half = len(kappa) // 2
-        clearly_growing = float(np.min(kappa[half:])) >= max(
-            1.2 * float(np.max(kappa[:half])),
-            float(np.max(kappa[:half])) + 0.05)
-        classification = "neither" if clearly_growing else "inconclusive"
-    return BBVerdict(classification=classification, mode=f"bb-{mode}",
-                     fitted=fitted, kappa=kappas, nu=nu)
+    scale = FunctionScale(w, a.ladder)
+    log_ladders = {lam: omega_norm_ladder(a, w, lam, "1").log_values
+                   for lam in LAMBDA_GRID}
+    sups = _frame_sups(a)
+    return classify_growth(scale, log_ladders, sups, float(np.max(sups)),
+                           mode or a.mode)
 
 
 @dataclass(frozen=True)
@@ -279,7 +209,7 @@ class CrosscheckReport:
     poly_moderate: bool
     poly_negligible: bool
     negligible_per_q: dict
-    omega_verdict: BBVerdict
+    omega_verdict: GrowthVerdict
     agree: bool
 
     def to_json(self) -> dict:
@@ -305,16 +235,11 @@ def colombeau_crosscheck(a: NetFunction) -> CrosscheckReport:
     any disagreement.  Moderate means sup <= C * eps^{-k} for some k
     (fitted from the log-log slope); negligible means sup <= C * eps^q for
     every q on the tested grid."""
-    if a.ladder.count < 6:
-        raise ValueError("cross-check needs at least 6 rungs")
     w = WeightFunction.log_one_plus_t()
     verdict = classify_net_bb(a, w, "beurling")
 
-    sups = np.array([float(np.max(np.abs(fr))) for fr in a.frames])
-    scale = float(np.max(sups)) if sups.size else 0.0
-    floor = MACHINE_FLOOR * (1.0 + scale)
-    at_floor = bool(np.max(sups) <= floor)
-    log_sups = np.log(np.maximum(sups, floor))
+    sups = _frame_sups(a)
+    log_sups, censored = censor_at_floor(sups, float(np.max(sups)))
     log_inv_eps = np.log(1.0 / a.ladder.values)
 
     # growth order: slope of log sup against log(1/eps) over the tail
@@ -322,12 +247,12 @@ def colombeau_crosscheck(a: NetFunction) -> CrosscheckReport:
     slope = float(np.polyfit(log_inv_eps[half:], log_sups[half:], 1)[0])
     poly_moderate = _poly_bounded(np.maximum(log_sups, 0.0)
                                   / np.maximum(log_inv_eps, 1e-12))
-    # rungs indistinguishable from zero certify any decay rate
-    log_eff = np.where(sups <= floor, -np.inf, log_sups)
+    # censored rungs are indistinguishable from zero and certify any decay
+    log_eff = np.where(censored, -np.inf, log_sups)
     per_q = {}
     for q in Q_GRID:
         # sup <= C eps^q  <=>  log sup + q log(1/eps) bounded above
-        per_q[q] = at_floor or _poly_bounded(log_eff + q * log_inv_eps)
+        per_q[q] = _poly_bounded(log_eff + q * log_inv_eps)
     poly_negligible = all(per_q.values())
 
     agree = (poly_moderate == verdict.moderate

@@ -29,11 +29,10 @@ from .estimators import classify_net, regularity_test
 from .grids import GridSpec
 from .microlocal import wavefront, wf_compare
 from .mollifier import build_mollifier, export_mollifier, verify_mollifier
-from .nets import (EpsilonLadder, GeneralizedNumber, GeneralizedPoint,
-                   combine, classify_generalized_number, point_value,
-                   window_net)
-from .weights import (WeightFunction, WeightSequence, assoc, check_conditions,
-                      check_assoc_m2, omega_check)
+from .nets import (EpsilonLadder, GeneralizedPoint, combine,
+                   classify_generalized_number, point_value, window_net)
+from .weights import (WeightFunction, WeightSequence, check_assoc_m2,
+                      check_conditions, omega_check, resolved_for)
 
 REPORT_SCHEMA = "gfalg-report/1"
 
@@ -90,6 +89,20 @@ def _parse_pair(text: str, n: int, label: str):
         raise ConfigError(f"--{label}: {exc}") from None
 
 
+def _type_matches(value, default) -> bool:
+    """Does a JSON config value fit the type of its ExperimentConfig
+    default?  A float field takes any number, an int field an int, a tuple
+    field a list of numbers; a bool is never a number."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(
+            _type_matches(v, 0.0) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -98,10 +111,15 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError("config: top level must be a JSON object")
         unknown = set(data) - set(cfg.__dict__)
         if unknown:
             raise ConfigError(f"config: unknown keys {sorted(unknown)}")
         for k, v in data.items():
+            if not _type_matches(v, getattr(cfg, k)):
+                raise ConfigError(f"config: {k}={v!r} does not match the "
+                                  f"type of its default {getattr(cfg, k)!r}")
             setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
     if args.out:
         cfg.out = args.out
@@ -196,7 +214,6 @@ def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
     w = parse_weight(cfg.weight)
     if isinstance(w, WeightSequence):
         rep = check_conditions(w)
-        from .weights import resolved_for
         deep = resolved_for(w, 4.1e6)
         m2_functional_ok = check_assoc_m2(deep, np.geomspace(1e-2, 1e6, 200))
         report = {

@@ -9,7 +9,7 @@ pv(1/x) -> i*pi*sgn(xi).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,11 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, forward
-from .nets import (EpsilonLadder, GeneralizedNumber, NetFunction,
-                   _apply_symbol, _bounded, _derivative_symbol,
-                   _safe_log_abs, _tends_to_infinity, _tends_to_zero,
-                   classify_generalized_number, growth_statistics)
+from .grids import GridSpec, forward, inverse
+from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
+                   _apply_symbol, _derivative_symbol, classify_growth)
 from .weights import WeightSequence, assoc, resolved_for
 
 #: relative magnitude under which transform samples count as noise, not
@@ -92,37 +90,6 @@ def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
                          h=h, alpha_max=alpha_max)
 
 
-@dataclass(frozen=True)
-class GrowthVerdict:
-    classification: str  # moderate | negligible | neither | inconclusive
-    mode: str
-    fitted: dict
-    kappa: dict = field(repr=False)
-    nu: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.classification == "negligible":
-            pass  # negligible implies moderate by construction below
-
-    @property
-    def moderate(self) -> bool:
-        return self.classification in ("moderate", "negligible")
-
-    @property
-    def negligible(self) -> bool:
-        return self.classification == "negligible"
-
-    def to_json(self) -> dict:
-        return {
-            "classification": self.classification,
-            "mode": self.mode,
-            "fitted": {str(k): float(v) for k, v in self.fitted.items()},
-            "kappa": {str(h): [float(x) for x in tr]
-                      for h, tr in self.kappa.items()},
-            "nu": [float(x) for x in self.nu],
-        }
-
-
 MODERATION_H_GRID = (4.0, 1.0, 0.25)
 MODERATION_ALPHA_MAX = 4
 
@@ -131,7 +98,8 @@ def classify_net(a: NetFunction, box, mode: str = None,
                  seq: WeightSequence = None,
                  h_grid=MODERATION_H_GRID,
                  alpha_max: int = MODERATION_ALPHA_MAX) -> GrowthVerdict:
-    """Moderate / negligible / neither / inconclusive verdict for a net.
+    """Moderate / negligible / neither / inconclusive verdict for a net at
+    the scales e^{M(k/eps)}.
 
     Moderation samples derivative-graded seminorms over the h grid;
     negligibility is decided on the 0-th order sup-norm alone (the null
@@ -142,51 +110,14 @@ def classify_net(a: NetFunction, box, mode: str = None,
         seq = a.weight
     if not isinstance(seq, WeightSequence):
         raise ValueError("a weight sequence is required")
-    if a.ladder.count < 6:
-        raise ValueError("classification needs at least 6 rungs")
-
-    kappas = {}
-    bounded_per_h = {}
-    tozero_per_h = {}
-    fitted = {}
-    for h in h_grid:
-        sl = seminorm_ladder(a, box, h, alpha_max, seq)
-        log_abs = _safe_log_abs(sl.values)
-        kappa, _ = growth_statistics(a.ladder, log_abs, seq)
-        kappas[h] = kappa
-        bounded_per_h[h] = _bounded(kappa)
-        tozero_per_h[h] = _tends_to_zero(kappa)
-        fitted[f"k_at_h={h:g}"] = float(np.max(kappa[len(kappa) // 2:]))
-
-    # zero-order sups for the null test
-    sl0 = seminorm_ladder(a, box, 1.0, 0, seq)
+    with np.errstate(divide="ignore"):
+        log_ladders = {h: np.log(seminorm_ladder(a, box, h, alpha_max,
+                                                 seq).values)
+                       for h in h_grid}
+    sups = seminorm_ladder(a, box, 1.0, 0, seq).values
     sup_scale = max(float(np.max(np.abs(fr))) for fr in a.frames)
-    z = GeneralizedNumber(a.ladder, sl0.values.astype(complex))
-    zero_verdict = classify_generalized_number(z, seq, mode,
-                                               reference_scale=sup_scale)
-    negligible = zero_verdict.negligible
-    fitted["k_negligible"] = zero_verdict.k_negligible
-
-    if mode == "beurling":
-        moderate = all(bounded_per_h.values())
-    else:
-        moderate = any(tozero_per_h.values())
-    if negligible:
-        classification = "negligible"
-    elif moderate:
-        classification = "moderate"
-    else:
-        # distinguish clear growth from noise: growth at the most
-        # demanding h (smallest) must show an increasing trajectory
-        h_hard = min(h_grid)
-        kappa = kappas[h_hard]
-        half = len(kappa) // 2
-        clearly_growing = float(np.min(kappa[half:])) >= max(
-            1.2 * float(np.max(kappa[:half])),
-            float(np.max(kappa[:half])) + 0.05)
-        classification = "neither" if clearly_growing else "inconclusive"
-    return GrowthVerdict(classification=classification, mode=mode,
-                         fitted=fitted, kappa=kappas, nu=zero_verdict.nu)
+    return classify_growth(SequenceScale(seq, a.ladder), log_ladders, sups,
+                           sup_scale, mode)
 
 
 @dataclass(frozen=True)
@@ -213,16 +144,15 @@ def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
     if f.shape != grid.shape:
         raise ValueError("samples do not match the grid")
     d = grid.dim
+    fhat = forward(f, grid)
 
     def sup_order(order: int) -> float:
         best = 0.0
-        fhat = forward(f, grid)
-        from .grids import inverse as _inv
         for alpha in _multi_indices(d, order):
             if sum(alpha) != order:
                 continue
             sym = _derivative_symbol(grid, alpha)
-            best = max(best, float(np.max(np.abs(_inv(fhat * sym, grid)))))
+            best = max(best, float(np.max(np.abs(inverse(fhat * sym, grid)))))
         return best
 
     norm0 = float(np.max(np.abs(f)))

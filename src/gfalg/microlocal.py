@@ -6,13 +6,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ResolutionError
-from .estimators import _log_transform_sups, _pattern_search
-from .grids import GridSpec
+from .estimators import (FORALL_EXTENSION, KH_GRID, _log_transform_sups,
+                         _pattern_search)
 from .mollifier import plateau_window
 from .nets import NetFunction
 from .weights import WeightSequence
@@ -111,7 +111,6 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     fine = a.fine_grid
     duals = fine.dual_points()
     radius = fine.dual_radius().ravel()
-    from .estimators import FORALL_EXTENSION, KH_GRID
     h_values = np.concatenate([[FORALL_EXTENSION], KH_GRID])
     out = []
     for cone in cones.cones:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, ResolutionError
-from .grids import GridSpec, forward, integrate, inverse
+from .grids import GridSpec, integrate, inverse
 from .weights import WeightSequence, assoc
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)

@@ -17,14 +17,12 @@ import numpy as np
 from .errors import GridMismatchError
 from .grids import GridSpec, forward, inverse
 from .mollifier import plateau_window
-from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse)
+from .weights import (WeightFunction, WeightSequence, assoc_inverse,
+                      resolved_for)
 
 #: |z| below this multiple of the ambient scale is treated as an exact zero
 #: produced by floating point, not as data with a measurable decay rate.
 MACHINE_FLOOR = 1e-12
-
-#: log|z| assigned to exact zeros.
-LOG_FLOOR = -745.0
 
 
 @dataclass(frozen=True)
@@ -336,7 +334,6 @@ def point_value(a: NetFunction, x: GeneralizedPoint) -> GeneralizedNumber:
 
 def _bilinear(fr: np.ndarray, axis: np.ndarray, pt: np.ndarray):
     dx = axis[1] - axis[0]
-    out = None
     i = np.clip(((pt - axis[0]) // dx).astype(int), 0, len(axis) - 2)
     t = (pt - axis[i]) / dx
     f00 = fr[i[0], i[1]]
@@ -346,6 +343,179 @@ def _bilinear(fr: np.ndarray, axis: np.ndarray, pt: np.ndarray):
     out = ((1 - t[0]) * (1 - t[1]) * f00 + t[0] * (1 - t[1]) * f10
            + (1 - t[0]) * t[1] * f01 + t[0] * t[1] * f11)
     return out
+
+
+def _bounded(trace: np.ndarray) -> bool:
+    """Empirical 'bounded along the ladder': the tail does not keep growing
+    past the head."""
+    half = len(trace) // 2
+    head = float(np.max(trace[:half]))
+    tail = float(np.max(trace[half:]))
+    return tail <= max(1.5 * head, head + 0.1)
+
+
+def _tends_to_zero(trace: np.ndarray) -> bool:
+    """Empirical 'tends to 0': final value below half the initial one and
+    below 0.5, with a non-increasing tail."""
+    final = float(trace[-1])
+    initial = float(trace[0])
+    return final <= max(0.5 * initial, 0.05) and final <= 0.5
+
+
+def _tends_to_infinity(trace: np.ndarray) -> bool:
+    half = len(trace) // 2
+    head = float(np.min(trace[:half])) if half else float(trace[0])
+    tail = float(np.min(trace[half:]))
+    return tail >= max(2.0 * head, 1.0)
+
+
+@dataclass(frozen=True)
+class SequenceScale:
+    """The scales e^{M(k/eps)} of a weight sequence (Komatsu).
+
+    The rate of |z_j| is kappa_j = eps_j * M^{-1}(log^+|z_j|), the k with
+    |z_j| = e^{M(k/eps_j)}; nu_j does the same for decay.  Roumieu
+    moderation asks some h for kappa -> 0.
+    """
+
+    seq: WeightSequence
+    ladder: EpsilonLadder
+    grade = "h"
+    mode_prefix = ""
+    roumieu_moderate = staticmethod(_tends_to_zero)
+
+    def _rate(self, y: np.ndarray) -> np.ndarray:
+        t = assoc_inverse(self.seq, y)
+        # an inverse at or past the table's saturation is only an upper
+        # bound; one table resolved up to it makes the second pass exact
+        deep = resolved_for(self.seq, float(np.max(t)))
+        if deep is not self.seq:
+            t = assoc_inverse(deep, y)
+        return self.ladder.values * t
+
+    def kappa(self, log_abs: np.ndarray) -> np.ndarray:
+        return self._rate(np.maximum(log_abs, 0.0))
+
+    def nu(self, log_abs: np.ndarray) -> np.ndarray:
+        return self._rate(np.maximum(-log_abs, 0.0))
+
+
+@dataclass(frozen=True)
+class FunctionScale:
+    """The scales e^{k*omega(1/eps)} of a weight function (Bonet, Meise &
+    Melikhov).
+
+    The rate is kappa_j = log^+|z_j| / omega(1/eps_j); the decay rate
+    nu_j = -log|z_j| / omega(1/eps_j) is left unclipped, so growing nets
+    report negative nu.  Roumieu moderation asks some lambda for kappa
+    bounded or -> 0: the windowed delta keeps some lambda bounded but none
+    tends to 0, and is moderate in both modes.
+    """
+
+    weight: WeightFunction
+    ladder: EpsilonLadder
+    grade = "lambda"
+    mode_prefix = "bb-"
+
+    def __post_init__(self):
+        omega_inv = self.weight(1.0 / self.ladder.values)
+        if np.any(omega_inv <= 0):
+            raise ValueError("omega(1/eps) must be positive on the ladder")
+        object.__setattr__(self, "_omega_inv", omega_inv)
+
+    def kappa(self, log_abs: np.ndarray) -> np.ndarray:
+        return np.maximum(log_abs, 0.0) / self._omega_inv
+
+    def nu(self, log_abs: np.ndarray) -> np.ndarray:
+        return -log_abs / self._omega_inv
+
+    @staticmethod
+    def roumieu_moderate(kappa: np.ndarray) -> bool:
+        return _bounded(kappa) or _tends_to_zero(kappa)
+
+
+def censor_at_floor(mags: np.ndarray, reference_scale: float) -> tuple:
+    """log of the magnitudes clamped at the machine floor
+    MACHINE_FLOOR * (1 + |reference_scale|), and the mask of the censored
+    entries at or below it."""
+    floor = MACHINE_FLOOR * (1.0 + abs(reference_scale))
+    return np.log(np.maximum(mags, floor)), mags <= floor
+
+
+@dataclass(frozen=True)
+class GrowthVerdict:
+    """Growth classification of a net against a scale."""
+
+    classification: str  # moderate | negligible | neither | inconclusive
+    mode: str
+    fitted: dict
+    kappa: dict = field(repr=False)
+    nu: np.ndarray = field(repr=False)
+
+    @property
+    def moderate(self) -> bool:
+        return self.classification in ("moderate", "negligible")
+
+    @property
+    def negligible(self) -> bool:
+        return self.classification == "negligible"
+
+    def to_json(self) -> dict:
+        return {
+            "classification": self.classification,
+            "mode": self.mode,
+            "fitted": {str(k): float(v) for k, v in self.fitted.items()},
+            "kappa": {str(g): [float(x) for x in tr]
+                      for g, tr in self.kappa.items()},
+            "nu": [float(x) for x in self.nu],
+        }
+
+
+def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
+                    reference_scale: float, mode: str) -> GrowthVerdict:
+    """Moderate / negligible / neither / inconclusive verdict against a
+    SequenceScale or FunctionScale.
+
+    ``log_ladders`` maps each grade (h or lambda) to the per-rung log of
+    the graded statistic; moderation reads it through the scale's rate
+    kappa.  Negligibility is decided on the 0-th order ``sups`` alone (the
+    null characterization licenses this) through the decay rate nu.
+    Quantifier alternation is certified empirically from the trend of
+    these traces (an estimator, not a proof).
+    """
+    if mode not in ("beurling", "roumieu"):
+        raise ValueError("mode must be 'beurling' or 'roumieu'")
+    kappas = {g: scale.kappa(logs) for g, logs in log_ladders.items()}
+    fitted = {f"k_at_{scale.grade}={g:g}": float(np.max(k[len(k) // 2:]))
+              for g, k in kappas.items()}
+    log_sups, censored = censor_at_floor(sups, reference_scale)
+    nu = scale.nu(log_sups)
+    fitted["k_negligible"] = float(np.min(nu))
+    # a censored rung is indistinguishable from zero and certifies any
+    # decay rate; the clamped -log(floor) there must not mask genuine trends
+    nu_eff = np.where(censored, np.inf, nu)
+    if mode == "beurling":
+        negligible = _tends_to_infinity(nu_eff)
+        moderate = all(_bounded(k) for k in kappas.values())
+    else:
+        negligible = bool(np.min(nu_eff) >= 0.05)
+        moderate = any(scale.roumieu_moderate(k) for k in kappas.values())
+    if negligible:
+        classification = "negligible"
+    elif moderate:
+        classification = "moderate"
+    else:
+        # distinguish clear growth from noise: growth at the smallest grade
+        # must show an increasing trajectory
+        kappa = kappas[min(kappas)]
+        half = len(kappa) // 2
+        head = float(np.max(kappa[:half]))
+        clearly_growing = float(np.min(kappa[half:])) >= max(1.2 * head,
+                                                             head + 0.05)
+        classification = "neither" if clearly_growing else "inconclusive"
+    return GrowthVerdict(classification=classification,
+                         mode=scale.mode_prefix + mode, fitted=fitted,
+                         kappa=kappas, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -381,108 +551,18 @@ class NumberVerdict:
         }
 
 
-def _safe_log_abs(z: np.ndarray) -> np.ndarray:
-    mag = np.abs(np.asarray(z, dtype=complex))
-    out = np.full(mag.shape, LOG_FLOOR)
-    pos = mag > 0
-    out[pos] = np.log(mag[pos])
-    return out
-
-
-def _inverse_resilient(seq: WeightSequence, y: float) -> tuple:
-    """assoc_inverse that deepens gevrey tables on demand (log magnitudes
-    down at the exp floor need an M-range no default table covers)."""
-    from .weights import SaturationError
-    for _ in range(16):
-        try:
-            return assoc_inverse(seq, y), seq
-        except SaturationError:
-            if seq.kind != "gevrey":
-                raise
-            seq = WeightSequence.gevrey(seq.s, 2 * seq.p_max)
-    raise SaturationError("assoc_inverse table deepening did not converge",
-                          seq.t_saturation)
-
-
-def growth_statistics(ladder: EpsilonLadder, log_abs: np.ndarray,
-                      seq: WeightSequence):
-    """Per-rung growth rates kappa_j (excess) and decay rates nu_j against
-    the scales exp(+-M(k/eps))."""
-    eps = ladder.values
-    kappa = np.zeros(ladder.count)
-    nu = np.zeros(ladder.count)
-    for j, (e, y) in enumerate(zip(eps, log_abs)):
-        t, seq = _inverse_resilient(seq, max(y, 0.0))
-        kappa[j] = e * t
-        t, seq = _inverse_resilient(seq, max(-y, 0.0))
-        nu[j] = e * t
-    return kappa, nu
-
-
-def _bounded(trace: np.ndarray) -> bool:
-    """Empirical 'bounded along the ladder': the tail does not keep growing
-    past the head."""
-    half = len(trace) // 2
-    head = float(np.max(trace[:half]))
-    tail = float(np.max(trace[half:]))
-    return tail <= max(1.5 * head, head + 0.1)
-
-
-def _tends_to_zero(trace: np.ndarray) -> bool:
-    """Empirical 'tends to 0': final value below half the initial one and
-    below 0.5, with a non-increasing tail."""
-    final = float(trace[-1])
-    initial = float(trace[0])
-    return final <= max(0.5 * initial, 0.05) and final <= 0.5
-
-
-def _tends_to_infinity(trace: np.ndarray) -> bool:
-    half = len(trace) // 2
-    head = float(np.min(trace[:half])) if half else float(trace[0])
-    tail = float(np.min(trace[half:]))
-    return tail >= max(2.0 * head, 1.0)
-
-
 def classify_generalized_number(z: GeneralizedNumber, seq: WeightSequence,
                                 mode: str = "beurling",
                                 reference_scale: float = 1.0) -> NumberVerdict:
-    """Moderate / negligible / neither verdict for a generalized number.
-
-    kappa_j = eps_j * assoc_inverse(max(log|z_j|, 0)) estimates the k in
-    |z_j| <= e^{M(k/eps_j)}; nu_j does the same for decay.  Quantifier
-    alternation over all k is certified empirically from the trend of these
-    traces (an estimator, not a proof).
-    """
-    if mode not in ("beurling", "roumieu"):
-        raise ValueError("mode must be 'beurling' or 'roumieu'")
-    if z.ladder.count < 6:
-        raise ValueError("classification needs at least 6 rungs")
-    log_abs = _safe_log_abs(z.values)
-    kappa, nu = growth_statistics(z.ladder, log_abs, seq)
-
-    floor = MACHINE_FLOOR * (1.0 + abs(reference_scale))
-    at_floor = bool(np.max(np.abs(z.values)) <= floor)
-    # a rung indistinguishable from zero certifies any decay rate there;
-    # censor it so a constant -log(floor) cannot mask genuine decay trends
-    censored = np.abs(z.values) <= floor
-    nu_eff = np.where(censored, np.inf, nu)
-
-    if mode == "beurling":
-        moderate = _bounded(kappa)
-        negligible = at_floor or _tends_to_infinity(nu_eff)
-    else:
-        moderate = _tends_to_zero(kappa)
-        negligible = at_floor or bool(np.min(nu_eff) >= 0.05)
-        moderate = moderate or negligible
-    if negligible:
-        moderate = True
-    half = len(kappa) // 2
-    return NumberVerdict(
-        mode=mode,
-        moderate=moderate,
-        negligible=negligible,
-        kappa=kappa,
-        nu=nu,
-        k_moderate=float(np.max(kappa[half:])),
-        k_negligible=float(np.min(nu)),
-    )
+    """Moderate / negligible / neither verdict for a generalized number:
+    the net classifier with |z| itself as the one graded statistic and as
+    the sups of the null test."""
+    mags = np.abs(z.values)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(mags)
+    v = classify_growth(SequenceScale(seq, z.ladder), {1.0: log_abs}, mags,
+                        reference_scale, mode)
+    return NumberVerdict(mode=mode, moderate=v.moderate,
+                         negligible=v.negligible, kappa=v.kappa[1.0],
+                         nu=v.nu, k_moderate=v.fitted["k_at_h=1"],
+                         k_negligible=v.fitted["k_negligible"])

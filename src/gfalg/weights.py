@@ -20,8 +20,8 @@ from .errors import SaturationError
 
 DEFAULT_P_MAX = 256
 
-# Numerical slack for log-scale comparisons.
-_LOG_TOL = 1e-9
+# Largest log t that exp() keeps finite in float64.
+_LOG_T_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -135,41 +135,29 @@ def assoc(seq: WeightSequence, t, on_saturation: str = "raise"):
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
-def assoc_inverse(seq: WeightSequence, y: float) -> float:
-    """Inverse of the associated function by monotone bisection.
+def assoc_inverse(seq: WeightSequence, y):
+    """Least t with assoc(t) >= y, exactly: log t = min_p (y + log M_p)/p
+    over 1 <= p <= p_max.
 
-    Returns t with |assoc(t) - y| <= 1e-9*(1+y).  For y in the flat region
-    [0, assoc(M_1)] the convention is to return M_1.
+    Exact for any table, because M(t) >= y holds exactly when some p has
+    p*log t - log M_p >= y.  y = 0 gives the right end of the flat region
+    (M_1 for a log-convex table).  When the minimum falls on p = p_max, a
+    deeper table may give a smaller t: the result is then an upper bound,
+    at or past t_saturation for a log-convex table, and the caller passes
+    it to resolved_for and inverts again on the deeper table.  Scalar in,
+    scalar out; arrays are mapped elementwise.
     """
-    if y < 0:
+    y_arr = np.asarray(y, dtype=float).ravel()
+    if np.any(y_arr < 0):
         raise ValueError("assoc_inverse requires y >= 0")
-    t_lo = seq.m1
-    if y <= _LOG_TOL:
-        return t_lo
-    # bracket: grow geometrically until assoc passes y (or saturates)
-    t_hi = max(2.0 * t_lo, 1.0)
-    while assoc(seq, t_hi) < y:
-        t_hi *= 2.0
-        if t_hi > seq.t_saturation:
-            # one last honest evaluation so the error carries context
-            if assoc(seq, seq.t_saturation * 0.999999, on_saturation="clip") < y:
-                raise SaturationError(
-                    f"assoc_inverse target y={y:.6g} beyond saturation; raise p_max",
-                    seq.t_saturation,
-                )
-            t_hi = seq.t_saturation * 0.999999
-            break
-    tol = 1e-9 * (1.0 + y)
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        v = assoc(seq, t_mid, on_saturation="clip")
-        if abs(v - y) <= tol:
-            return t_mid
-        if v < y:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    return 0.5 * (t_lo + t_hi)
+    p = np.arange(1, seq.p_max + 1)
+    log_t = np.min((y_arr[:, None] + seq.log_m[None, 1:]) / p, axis=1)
+    if np.any(log_t > _LOG_T_MAX):
+        raise SaturationError(
+            f"assoc_inverse target y={float(np.max(y_arr)):.6g} is beyond "
+            "float range on this table; raise p_max", seq.t_saturation)
+    t = np.exp(log_t)
+    return t[0] if np.ndim(y) == 0 else t.reshape(np.shape(y))
 
 
 def resolved_for(seq: WeightSequence, t_needed: float) -> WeightSequence:
@@ -263,18 +251,12 @@ def gevrey_pair(s: float, p_max: int = DEFAULT_P_MAX, t_max: float = 1e6):
     s_n = 0.5 * (1.0 + s)
     m_seq = WeightSequence.gevrey(s, p_max)
     n_seq = WeightSequence.gevrey(s_n, p_max)
-
-    # validation tables sized for t_max, independent of the returned p_max
-    def _table(order, top):
-        depth = int(math.exp(math.log(max(top, 2.0)) / order) * 1.25) + 16
-        return WeightSequence.gevrey(order, depth)
-
-    m_val = _table(s, t_max)
+    m_val = resolved_for(m_seq, t_max)
     t = np.logspace(-2, math.log10(t_max), 160)
     two_m = 2.0 * assoc(m_val, t)
     top = t >= t_max / 100.0  # top two decades carry the asymptotics
     for l in (1.0, 0.5, 0.1):
-        n_val = _table(s_n, l * t_max)
+        n_val = resolved_for(n_seq, l * t_max)
         n_of_lt = assoc(n_val, l * t)
         # a finite C exists iff N(l t) eventually dominates 2M(t); certify by
         # the tail log-log growth exponents (1/s_n > 1/s for a Gevrey pair)

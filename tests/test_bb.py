@@ -112,6 +112,11 @@ class TestClassifyBB:
             v = classify_net_bb(net, W_LOG, mode)
             assert v.classification == "moderate"
 
+    def test_delta_decay_rate_unclipped(self, catalog):
+        # growing sups read as a negative decay rate, not a clipped zero
+        v = classify_net_bb(window_net(catalog("delta"), 0.0, 10.0), W_LOG)
+        assert np.all(v.nu < 0)
+
     def test_gaussian_moderate(self, catalog):
         net = window_net(catalog("gaussian"), 0.0, 10.0)
         v = classify_net_bb(net, W_LOG, "beurling")

@@ -128,6 +128,18 @@ class TestConfigErrors:
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        {"grid_n": "4096"}, {"sigma": "1.5"}, {"box": 5},
+        {"ladder_count": 6.5}, {"wf_radius": True}, {"box": [-5, "5"]}])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, entry):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"dist": "delta", **entry}))
+        code, _, _ = run(tmp_path, "classify", "--config", str(cfgp))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert next(iter(entry)) in err
+
     def test_aliasing_ladder_rejected(self, tmp_path, capsys):
         code, _, _ = run(tmp_path, "embed", "--dist", "delta",
                          "--ladder", "0.125,0.5,14")

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfalg.errors import GridMismatchError
+from gfalg.errors import GridMismatchError, SaturationError
 from gfalg.nets import (EpsilonLadder, GeneralizedNumber, GeneralizedPoint,
                         UltradiffOperator, apply_ultradiff,
                         classify_generalized_number, combine, constant_embed,
                         point_value, scale, spectral_derivative, window_net)
-from gfalg.weights import WeightSequence, assoc
+from gfalg.weights import WeightSequence, assoc, assoc_inverse, resolved_for
 from gfalg.grids import GridSpec
 
 
@@ -259,6 +259,29 @@ class TestNumberClassification:
         v = classify_generalized_number(self._number(ladder, lambda e: 0.0),
                                         seq)
         assert v.negligible
+
+    def test_beyond_table_deepens_once(self, small_rig, monkeypatch):
+        # log|z| = 600 lies past a 64-entry Gevrey-2 table: its inverse
+        # there is an upper bound, and one deeper table makes it exact
+        _, ladder, _ = small_rig
+        shallow = WeightSequence.gevrey(2.0, 64)
+        exact = assoc_inverse(resolved_for(shallow, 1e8), 600.0)
+        z = GeneralizedNumber(ladder, np.full(ladder.count, np.exp(600.0)))
+        built = []
+        gevrey = WeightSequence.gevrey
+
+        def counted(s, p_max=256):
+            built.append(p_max)
+            return gevrey(s, p_max)
+
+        monkeypatch.setattr(WeightSequence, "gevrey", staticmethod(counted))
+        v = classify_generalized_number(z, shallow)
+        assert len(built) == 1
+        assert v.verdict == "moderate"
+        assert np.allclose(v.kappa, ladder.values * exact, rtol=1e-12)
+        with pytest.raises(SaturationError):
+            classify_generalized_number(
+                z, WeightSequence.custom(shallow.log_m))
 
     def test_nonfinite_rejected(self, small_rig):
         _, ladder, _ = small_rig

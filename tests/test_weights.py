@@ -83,6 +83,37 @@ class TestAssocInverse:
         with pytest.raises(SaturationError):
             assoc_inverse(seq, 1e6)
 
+    @given(s=st.floats(min_value=1.05, max_value=3.0),
+           frac=st.floats(min_value=1e-6, max_value=0.999))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_least_preimage_property(self, s, frac):
+        seq = WeightSequence.gevrey(s)
+        y = frac * assoc(seq, seq.t_saturation, on_saturation="clip")
+        t = assoc_inverse(seq, y)
+        assert assoc(seq, t) == pytest.approx(y, abs=1e-12 * (1 + y))
+        assert assoc(seq, t * (1 - 1e-8)) < y
+
+    def test_array_matches_elementwise(self):
+        seq = WeightSequence.gevrey(1.5)
+        y = np.array([[0.0, 0.5], [7.0, 120.0]])
+        got = assoc_inverse(seq, y)
+        assert got.shape == y.shape
+        for yi, ti in zip(y.ravel(), got.ravel()):
+            assert assoc_inverse(seq, float(yi)) == ti
+
+    @pytest.mark.parametrize("y", [0.3, 1.0, 3.0, 5.0])
+    def test_non_log_convex_matches_scan(self, y):
+        log_m = np.array([0.0, 0.0, 2.0, 2.5, 5.0, 5.2, 8.0, 8.1] + [
+            8.1 + 2 * k for k in range(1, 60)])
+        seq = WeightSequence.custom(log_m)
+        t_grid = np.geomspace(1.0, 10.0, 20001)
+        p = np.arange(len(log_m))
+        scan = np.max(np.outer(np.log(t_grid), p) - log_m, axis=1)
+        first = int(np.argmax(scan >= y))
+        t = assoc_inverse(seq, y)
+        assert first > 0
+        assert t_grid[first - 1] < t <= t_grid[first] * (1 + 1e-12)
+
 
 class TestConditions:
     def test_gevrey2_certificate(self):
