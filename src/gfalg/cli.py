@@ -103,6 +103,16 @@ def _type_matches(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _check_shape(key: str, value: tuple):
+    """Shape rules of the tuple config values beyond their type: ``box``
+    is exactly two numbers lo < hi, ``wf_centers`` is not empty."""
+    if key == "box" and not (len(value) == 2 and value[0] < value[1]):
+        raise ConfigError(f"config: box={list(value)!r} must be two numbers "
+                          "[lo, hi] with lo < hi")
+    if key == "wf_centers" and not value:
+        raise ConfigError("config: wf_centers must hold at least one centre")
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -120,7 +130,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             if not _type_matches(v, getattr(cfg, k)):
                 raise ConfigError(f"config: {k}={v!r} does not match the "
                                   f"type of its default {getattr(cfg, k)!r}")
-            setattr(cfg, k, tuple(v) if isinstance(v, list) else v)
+            if isinstance(v, list):
+                v = tuple(v)
+                _check_shape(k, v)
+            setattr(cfg, k, v)
     if args.out:
         cfg.out = args.out
     if args.dist:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .grids import GridSpec, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _apply_symbol, _derivative_symbol, classify_growth)
+                   _derivative_symbol, _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence, assoc, resolved_for
 
 #: relative magnitude under which transform samples count as noise, not
@@ -63,31 +63,64 @@ def _box_mask(grid: GridSpec, box) -> np.ndarray:
     return mask
 
 
-def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
-                    seq: WeightSequence = None) -> SeminormLadder:
-    """Derivative-graded sup-norms over the box, one value per rung."""
+def _derivative_sups(a: NetFunction, box, alpha_max: int,
+                     warn_label: str) -> tuple:
+    """The multi-indices |alpha| <= alpha_max and the table of
+    sup_box |D^alpha f_eps|, one row per alpha and one column per rung.
+
+    Each frame is transformed once: one forward, then one inverse per
+    alpha != 0.  Frames are processed one at a time, so no derivative net
+    is ever held whole.
+    """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
+    fine = a.fine_grid
+    mask = _box_mask(fine, box)
+    alphas = _multi_indices(a.grid.dim, alpha_max)
+    symbols = [_derivative_symbol(fine, alpha) if sum(alpha) else None
+               for alpha in alphas]
+    sups = np.zeros((len(alphas), a.ladder.count))
+    for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
+        fhat = None
+        for i, sym in enumerate(symbols):
+            if sym is None:
+                deriv = fr
+            else:
+                if fhat is None:
+                    _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
+                    fhat = forward(fr, fine)
+                deriv = inverse(fhat * sym, fine)
+            sups[i, j] = float(np.max(np.abs(deriv)[mask]))
+    return alphas, sups
+
+
+def _graded(alphas, sups: np.ndarray, h: float,
+            seq: WeightSequence) -> np.ndarray:
+    """max_alpha sup_box |D^alpha f_eps| / (h^|alpha| M_|alpha|) per rung."""
+    values = np.zeros(sups.shape[1])
+    for alpha, row in zip(alphas, sups):
+        order = sum(alpha)
+        denom = np.exp(order * np.log(h) + seq.log_m[order])
+        values = np.maximum(values, row / denom)
+    return values
+
+
+def _require_sequence(a: NetFunction, seq) -> WeightSequence:
     if seq is None:
         seq = a.weight
     if not isinstance(seq, WeightSequence):
         raise ValueError("a weight sequence is required")
-    fine = a.fine_grid
-    mask = _box_mask(fine, box)
-    values = np.zeros(a.ladder.count)
-    for alpha in _multi_indices(a.grid.dim, alpha_max):
-        order = sum(alpha)
-        if order == 0:
-            deriv = a
-        else:
-            sym = _derivative_symbol(fine, alpha)
-            deriv = _apply_symbol(a, sym, "seminorm_ladder")
-        denom = np.exp(order * np.log(h) + seq.log_m[order])
-        for j, fr in enumerate(deriv.frames):
-            values[j] = max(values[j],
-                            float(np.max(np.abs(fr)[mask])) / denom)
-    return SeminormLadder(ladder=a.ladder, values=values, box=tuple(box),
-                         h=h, alpha_max=alpha_max)
+    return seq
+
+
+def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
+                    seq: WeightSequence = None) -> SeminormLadder:
+    """Derivative-graded sup-norms over the box, one value per rung."""
+    seq = _require_sequence(a, seq)
+    alphas, sups = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
+    return SeminormLadder(ladder=a.ladder,
+                          values=_graded(alphas, sups, h, seq),
+                          box=tuple(box), h=h, alpha_max=alpha_max)
 
 
 MODERATION_H_GRID = (4.0, 1.0, 0.25)
@@ -103,20 +136,18 @@ def classify_net(a: NetFunction, box, mode: str = None,
 
     Moderation samples derivative-graded seminorms over the h grid;
     negligibility is decided on the 0-th order sup-norm alone (the null
-    characterization licenses exactly this shortcut).
+    characterization licenses exactly this shortcut).  One table of
+    derivative sups serves every h, so each frame is transformed once.
     """
     mode = mode or a.mode
-    if seq is None:
-        seq = a.weight
-    if not isinstance(seq, WeightSequence):
-        raise ValueError("a weight sequence is required")
+    seq = _require_sequence(a, seq)
+    alphas, sups = _derivative_sups(a, box, alpha_max, "classify_net")
     with np.errstate(divide="ignore"):
-        log_ladders = {h: np.log(seminorm_ladder(a, box, h, alpha_max,
-                                                 seq).values)
+        log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
                        for h in h_grid}
-    sups = seminorm_ladder(a, box, 1.0, 0, seq).values
+    order0 = _graded(alphas[:1], sups[:1], 1.0, seq)
     sup_scale = max(float(np.max(np.abs(fr))) for fr in a.frames)
-    return classify_growth(SequenceScale(seq, a.ladder), log_ladders, sups,
+    return classify_growth(SequenceScale(seq, a.ladder), log_ladders, order0,
                            sup_scale, mode)
 
 
@@ -186,32 +217,48 @@ class RegularityVerdict:
 
 
 def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
-                        node_mask=None):
-    """For each rung j and each h: max over admissible dual nodes of
+                        node_masks):
+    """For each node mask (None admits every node), each rung j and each
+    h: max over the mask's admissible dual nodes of
     log|fhat_j(xi)| + M(|xi|/h).  Nodes below the fft noise floor of the
-    frame are excluded (they carry rounding noise, not decay data)."""
+    frame are excluded (they carry rounding noise, not decay data).
+
+    The transforms, the penalties M(|xi|/h) and the ladder-wide floor are
+    computed once and shared by all masks, which may be a generator
+    yielding one mask at a time.  The floor comparison is redone per mask:
+    holding one boolean array per rung costs more memory than the
+    comparison costs time.  Returns the list of per-mask {h: sups} dicts
+    and the resolved sequence.
+    """
     fine = a.fine_grid
-    radius = fine.dual_radius()
-    flat_r = radius.ravel()
+    # M(|xi|/h) depends on |xi| alone, and the dual grid's symmetries
+    # repeat each radius many times: evaluate it once per distinct radius
+    radii, node_radius = np.unique(fine.dual_radius().ravel(),
+                                   return_inverse=True)
     h_values = np.asarray(h_values, dtype=float)
-    seq = resolved_for(seq, float(flat_r.max()) / float(h_values.min()))
-    penalties = {float(h): assoc(seq, flat_r / h) for h in h_values}
-    out = {float(h): np.full(a.ladder.count, -np.inf) for h in h_values}
+    seq = resolved_for(seq, float(radii[-1]) / float(h_values.min()))
+    penalties = [assoc(seq, radii / h) for h in h_values]
     mags = [np.abs(forward(fr, fine)).ravel() for fr in a.frames]
     # one floor for the whole ladder: frames windowed down to rounding noise
     # must not be re-normalized into fake decay data
     top = max((float(m.max()) for m in mags), default=0.0)
-    for j, fhat in enumerate(mags):
-        keep = fhat > SPECTRAL_FLOOR * top if top > 0 else np.zeros_like(
-            fhat, dtype=bool)
-        if node_mask is not None:
-            keep &= node_mask
-        if not keep.any():
-            continue
-        log_f = np.log(fhat[keep])
-        for h in h_values:
-            out[float(h)][j] = float(np.max(log_f + penalties[float(h)][keep]))
-    return out, seq
+    cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
+    results = []
+    for node_mask in node_masks:
+        sups = np.full((len(h_values), a.ladder.count), -np.inf)
+        for j, fhat in enumerate(mags):
+            keep = fhat > cut
+            if node_mask is not None:
+                keep &= node_mask
+            nodes = np.flatnonzero(keep)
+            if nodes.size == 0:
+                continue
+            log_f = np.log(fhat[nodes])
+            at = node_radius[nodes]
+            for i, pen in enumerate(penalties):
+                sups[i, j] = np.max(log_f + pen[at])
+        results.append({float(h): row for h, row in zip(h_values, sups)})
+    return results, seq
 
 
 def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
@@ -225,7 +272,7 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     """
     eps = a.ladder.values
     seq = resolved_for(seq, float(KH_GRID.max()) / float(eps.min()))
-    scale = {float(k): np.array([assoc(seq, k / e) for e in eps])
+    scale = {float(k): assoc(seq, k / eps)
              for k in np.concatenate([KH_GRID, [FORALL_EXTENSION]])}
 
     def bounded(h: float, k: float) -> bool:
@@ -275,12 +322,9 @@ def regularity_test(a: NetFunction, mode: str = None,
     mode = mode or a.mode
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
-    if seq is None:
-        seq = a.weight
-    if not isinstance(seq, WeightSequence):
-        raise ValueError("a weight sequence is required")
+    seq = _require_sequence(a, seq)
     h_values = np.concatenate([[FORALL_EXTENSION], KH_GRID])
-    sups, seq_big = _log_transform_sups(a, h_values, seq)
+    (sups,), seq_big = _log_transform_sups(a, h_values, seq, [None])
     verdict, witness, residuals = _pattern_search(a, sups, seq_big, mode)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .estimators import (FORALL_EXTENSION, KH_GRID, _log_transform_sups,
-                         _pattern_search)
+                         _pattern_search, _require_sequence)
 from .mollifier import plateau_window
 from .nets import NetFunction
 from .weights import WeightSequence
@@ -100,10 +100,7 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     cone is regular when the mode's (k, h) quantifier pattern bounds the
     cone-restricted weighted transform sup along the ladder."""
     mode = mode or a.mode
-    if seq is None:
-        seq = a.weight
-    if not isinstance(seq, WeightSequence):
-        raise ValueError("a weight sequence is required")
+    seq = _require_sequence(a, seq)
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
@@ -111,15 +108,22 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     fine = a.fine_grid
     duals = fine.dual_points()
     radius = fine.dual_radius().ravel()
+
+    def cone_masks():
+        # one mask at a time: holding every cone's mask raises peak memory
+        for cone in cones.cones:
+            mask = (cone.contains(duals).ravel()
+                    & (radius >= LOW_FREQUENCY_CUTOFF))
+            if int(mask.sum()) < MIN_CONE_NODES:
+                raise ResolutionError(
+                    f"cone {cone.label} holds only {int(mask.sum())} dual "
+                    "nodes; refine the grid")
+            yield mask
+
     h_values = np.concatenate([[FORALL_EXTENSION], KH_GRID])
+    per_cone, seq_big = _log_transform_sups(a, h_values, seq, cone_masks())
     out = []
-    for cone in cones.cones:
-        mask = cone.contains(duals).ravel() & (radius >= LOW_FREQUENCY_CUTOFF)
-        if int(mask.sum()) < MIN_CONE_NODES:
-            raise ResolutionError(
-                f"cone {cone.label} holds only {int(mask.sum())} dual nodes; "
-                "refine the grid")
-        sups, seq_big = _log_transform_sups(a, h_values, seq, node_mask=mask)
+    for cone, sups in zip(cones.cones, per_cone):
         verdict, witness, _ = _pattern_search(a, sups, seq_big, mode)
         out.append(ConeVerdict(
             label=cone.label, direction=cone.direction,

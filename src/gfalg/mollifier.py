@@ -236,8 +236,7 @@ def verify_mollifier(net: MollifierNet, n_moments: int = 3) -> MollifierReport:
         rr = radius[mask]
         logmag = np.log(mag[mask])
         for c in 2.0 ** (np.arange(12, -21, -1) / 4.0):
-            pen = np.array([assoc(seq, t, on_saturation="clip")
-                            for t in rr / c])
+            pen = assoc(seq, rr / c, on_saturation="clip")
             resid = logmag + pen
             anchor = resid[np.argmin(rr)]
             if float(np.max(resid)) <= anchor + 1.0:

@@ -206,18 +206,26 @@ def _edge_mass(frame: np.ndarray) -> float:
     return float(max(vals))
 
 
+def _warn_boundary_mass(eps: float, frame: np.ndarray, warn_label: str,
+                        stacklevel: int) -> None:
+    """RuntimeWarning when a frame about to get a Fourier multiplier
+    carries boundary mass above 1e-8 of its sup: periodic wrap-around would
+    pollute the result.  ``stacklevel`` counts from this helper."""
+    sup = float(np.max(np.abs(frame)))
+    if sup > 0 and _edge_mass(frame) > 1e-8 * sup:
+        warnings.warn(
+            f"{warn_label}: frame at eps={eps:.6g} carries boundary mass "
+            f"above 1e-8 of its sup; periodic wrap-around will pollute "
+            f"the result (window the net first)",
+            RuntimeWarning, stacklevel=stacklevel)
+
+
 def _apply_symbol(a: NetFunction, symbol: np.ndarray,
                   warn_label: str) -> NetFunction:
     fine = a.fine_grid
     frames = []
     for eps, fr in zip(a.ladder.values, a.frames):
-        sup = float(np.max(np.abs(fr)))
-        if sup > 0 and _edge_mass(fr) > 1e-8 * sup:
-            warnings.warn(
-                f"{warn_label}: frame at eps={eps:.6g} carries boundary mass "
-                f"above 1e-8 of its sup; periodic wrap-around will pollute "
-                f"the result (window the net first)",
-                RuntimeWarning, stacklevel=3)
+        _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
         out = inverse(forward(fr, fine) * symbol, fine)
         frames.append(out)
     return replace(a, frames=tuple(frames))

@@ -49,3 +49,23 @@ def catalog(grid, ladder, seq, moll):
         return nets[key]
 
     return get
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Counts of the grids.forward / grids.inverse calls made through the
+    estimators module from here on."""
+    from gfalg import estimators
+    calls = {"forward": 0, "inverse": 0}
+
+    def counting(name):
+        fn = getattr(estimators, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(estimators, name, counting(name))
+    return calls

@@ -140,6 +140,24 @@ class TestConfigErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert next(iter(entry)) in err
 
+    @pytest.mark.parametrize("command,entry", [
+        ("classify", {"box": [1]}),
+        # wavefront never reads the box, but a bad config is bad everywhere
+        ("wavefront", {"box": [1]}),
+        ("classify", {"box": [5, -5]}),
+        ("classify", {"box": [-5, 0, 5]}),
+        ("wavefront", {"wf_centers": []})])
+    def test_badly_shaped_value_rejected(self, tmp_path, capsys, command,
+                                         entry):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"dist": "delta", **entry}))
+        code, out, _ = run(tmp_path, command, "--config", str(cfgp))
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert next(iter(entry)) in err
+
     def test_aliasing_ladder_rejected(self, tmp_path, capsys):
         code, _, _ = run(tmp_path, "embed", "--dist", "delta",
                          "--ladder", "0.125,0.5,14")

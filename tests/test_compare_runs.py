@@ -1,0 +1,56 @@
+"""scripts/compare_runs.py: file and JSON-path differences between two
+run_catalog.py output roots."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+_spec = importlib.util.spec_from_file_location("compare_runs", _SCRIPT)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+REPORT = {"results": {"verdict": {"classification": "moderate",
+                                  "nu": [1.0, 2.0, 4.0]}},
+          "schema": "gfalg-report/1"}
+
+
+def _root(path: Path, report: dict, extra: str = None) -> Path:
+    run = path / "classify" / "delta"
+    run.mkdir(parents=True)
+    (run / "report.json").write_text(json.dumps(report, sort_keys=True))
+    (run / "nu.csv").write_text("j,nu\n0,1.0\n")
+    if extra:
+        (run / extra).write_text("x")
+    return path
+
+
+def test_identical_roots_exit_zero(tmp_path, capsys):
+    a = _root(tmp_path / "a", REPORT)
+    b = _root(tmp_path / "b", REPORT)
+    assert compare_runs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "identical: 2 files\n"
+
+
+def test_differences_listed_with_json_paths(tmp_path, capsys):
+    changed = json.loads(json.dumps(REPORT))
+    changed["results"]["verdict"]["nu"][1] = 2.002
+    changed["results"]["verdict"]["nu"][2] = 4.004
+    changed["results"]["verdict"]["classification"] = "neither"
+    a = _root(tmp_path / "a", REPORT)
+    b = _root(tmp_path / "b", changed, extra="extra.csv")
+    assert compare_runs.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "only in B: classify/delta/extra.csv"
+    assert lines[1] == "differs: classify/delta/report.json"
+    assert "  results.verdict.classification: changed" in lines
+    assert "  results.verdict.nu[]: max rel diff 0.000999" in lines
+    assert lines[-1] == "2 files differ"
+
+
+def test_missing_root_is_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        compare_runs.main([str(tmp_path), str(tmp_path / "absent")])
+    assert exc.value.code == 2

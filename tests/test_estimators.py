@@ -4,9 +4,11 @@ derivative interpolation inequality, and uniform regularity."""
 import numpy as np
 import pytest
 
-from gfalg.estimators import (classify_net, landau_kolmogorov_check,
+from gfalg.estimators import (MODERATION_ALPHA_MAX, MODERATION_H_GRID,
+                              classify_net, landau_kolmogorov_check,
                               regularity_test, seminorm_ladder)
-from gfalg.nets import NetFunction, combine, window_net
+from gfalg.nets import (NetFunction, SequenceScale, classify_growth, combine,
+                        window_net)
 from gfalg.weights import WeightSequence
 
 
@@ -86,6 +88,53 @@ class TestClassification:
         import json
         v = classify_net(catalog("gaussian"), (-5.0, 5.0))
         json.dumps(v.to_json())
+
+
+class TestOneDerivativeTable:
+    """classify_net reads every h from one table of derivative sups."""
+
+    def test_each_frame_transformed_once(self, catalog, transform_counts):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        classify_net(net, (-10.0, 10.0))
+        # 1-D: one forward per frame, one inverse per order 1..alpha_max
+        rungs = net.ladder.count
+        assert transform_counts == {"forward": rungs,
+                                    "inverse": rungs * MODERATION_ALPHA_MAX}
+
+    def test_zero_order_ladder_transforms_nothing(self, catalog,
+                                                  transform_counts):
+        seminorm_ladder(catalog("delta"), (-5.0, 5.0), 1.0, 0)
+        assert transform_counts == {"forward": 0, "inverse": 0}
+
+    @pytest.mark.parametrize("kind,box", [("delta", (-10.0, 10.0)),
+                                          ("heaviside", (-5.0, 5.0)),
+                                          ("delta", (2.0, 10.0))])
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_matches_per_h_seminorm_ladders(self, catalog, seq, kind, box,
+                                            mode):
+        net = window_net(catalog(kind), 0.0, 10.0)
+        with np.errstate(divide="ignore"):
+            logs = {h: np.log(seminorm_ladder(
+                        net, box, h, MODERATION_ALPHA_MAX, seq).values)
+                    for h in MODERATION_H_GRID}
+        sups = seminorm_ladder(net, box, 1.0, 0, seq).values
+        top = max(float(np.max(np.abs(fr))) for fr in net.frames)
+        expected = classify_growth(SequenceScale(seq, net.ladder), logs, sups,
+                                   top, mode)
+        got = classify_net(net, box, mode=mode, seq=seq)
+        assert got.classification == expected.classification
+        assert got.fitted == expected.fitted
+        for h in MODERATION_H_GRID:
+            np.testing.assert_array_equal(got.kappa[h], expected.kappa[h])
+        np.testing.assert_array_equal(got.nu, expected.nu)
+
+    def test_unwindowed_delta_warns_of_boundary_mass(self, catalog):
+        with pytest.warns(RuntimeWarning, match="boundary mass"):
+            classify_net(catalog("delta"), (-5.0, 5.0))
+
+    def test_seminorm_ladder_warns_of_boundary_mass(self, catalog):
+        with pytest.warns(RuntimeWarning, match="seminorm_ladder"):
+            seminorm_ladder(catalog("delta"), (-5.0, 5.0), 1.0, 2)
 
 
 class TestDerivativeInterpolation:

@@ -12,8 +12,8 @@ from gfalg.distributions import (ModelDistribution, classical_wf_oracle,
                                  regularize)
 from gfalg.errors import ResolutionError
 from gfalg.grids import GridSpec
-from gfalg.microlocal import (Cone, ConePartition, sigma_g, wavefront,
-                              wf_compare)
+from gfalg.microlocal import (WINDOW_SIGMA, Cone, ConePartition, sigma_g,
+                              wavefront, wf_compare)
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, apply_ultradiff,
                         combine, constant_embed, window_net)
 
@@ -172,6 +172,48 @@ class TestWaveFront2D:
         dirs = [np.asarray(d, dtype=float) for _, d in rep.singular_set]
         assert any(np.allclose(d, (1.0, 0.0)) for d in dirs)
         assert any(np.allclose(d, (-1.0, 0.0)) for d in dirs)
+
+
+@pytest.fixture(scope="module")
+def line_patch(moll, seq):
+    # the line delta(x) gaussian(y) windowed at the origin, on a grid with
+    # the dual range of line_net at a quarter of its nodes
+    g2 = GridSpec(2, 2.5, 512)
+    lad = EpsilonLadder(0.25, 0.5, 6)
+    m = ModelDistribution(
+        "tensor2d", dim=2,
+        factors=(ModelDistribution("delta"),
+                 ModelDistribution("gaussian")))
+    with np.errstate(all="ignore"):
+        net = regularize(m, moll, lad, g2, weight=seq)
+    return window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
+
+
+class TestOneSpectrumPerWindow:
+    """sigma_g transforms each frame once, whatever the number of cones."""
+
+    def test_one_forward_per_frame_for_eight_sectors(self, line_patch,
+                                                     transform_counts):
+        sigma_g(line_patch, ConePartition.sectors_2d(8), mode="beurling")
+        assert transform_counts == {"forward": line_patch.ladder.count,
+                                    "inverse": 0}
+
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_sectors_match_single_cone_runs(self, line_patch, mode):
+        part = ConePartition.sectors_2d(8)
+        together = sigma_g(line_patch, part, mode=mode)
+        alone = tuple(
+            sigma_g(line_patch, ConePartition(dim=2, cones=(c,)), mode=mode)[0]
+            for c in part.cones)
+        assert together == alone
+        assert {v.verdict for v in together} == {"regular", "singular"}
+
+    def test_thin_cone_after_a_wide_one_rejected(self, line_patch):
+        part = ConePartition(dim=2, cones=(
+            Cone("wide", (1.0, 0.0), np.pi / 2),
+            Cone("thin", (np.cos(0.123), np.sin(0.123)), 1e-5)))
+        with pytest.raises(ResolutionError, match="cone thin"):
+            sigma_g(line_patch, part, mode="beurling")
 
 
 class TestReports:
