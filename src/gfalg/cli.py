@@ -113,6 +113,29 @@ def _check_shape(key: str, value: tuple):
         raise ConfigError("config: wf_centers must hold at least one centre")
 
 
+#: range rules of the numeric config values, whether set in the config file
+#: or by a flag; checked before any layer runs, so that the error names the
+#: key instead of the layer's own parameter
+_RANGES = (
+    ("grid_n", lambda v: v >= 256 and not v & (v - 1),
+     "a power of two >= 256"),
+    ("grid_half_width", lambda v: v > 0, "> 0"),
+    ("window_radius", lambda v: v > 0, "> 0"),
+    ("wf_radius", lambda v: v > 0, "> 0"),
+    ("sigma", lambda v: v > 1, "> 1"),
+    ("ladder_eps0", lambda v: 0 < v <= 1, "in (0, 1]"),
+    ("ladder_ratio", lambda v: 0 < v < 1, "in (0, 1)"),
+    ("ladder_count", lambda v: v >= 6, ">= 6"),
+)
+
+
+def _check_ranges(cfg: ExperimentConfig):
+    for key, ok, rule in _RANGES:
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"config: {key}={value!r} must be {rule}")
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
@@ -152,6 +175,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.ladder_eps0, cfg.ladder_ratio, cfg.ladder_count = e0, r, int(c)
     if cfg.mode not in ("beurling", "roumieu"):
         raise ConfigError("mode must be beurling or roumieu")
+    _check_ranges(cfg)
     return cfg
 
 

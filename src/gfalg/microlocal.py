@@ -39,13 +39,16 @@ class Cone:
     direction: tuple  # unit vector
     half_angle: float  # radians; 1-D rays use pi/2 (a half-line)
 
-    def contains(self, vectors) -> np.ndarray:
-        """Boolean mask: does each dual vector lie in the cone?"""
+    def contains(self, vectors, norms=None) -> np.ndarray:
+        """Boolean mask: does each dual vector lie in the cone?  ``norms``,
+        when given, holds the lengths ``np.hypot(*vectors)`` of 2-D
+        vectors, so a caller testing many cones computes them once."""
         d = np.asarray(self.direction, dtype=float)
         if len(d) == 1:
             xi = np.asarray(vectors[0])
             return np.sign(xi) == np.sign(d[0])
-        norms = np.hypot(vectors[0], vectors[1])
+        if norms is None:
+            norms = np.hypot(vectors[0], vectors[1])
         with np.errstate(invalid="ignore", divide="ignore"):
             cos = (vectors[0] * d[0] + vectors[1] * d[1]) / norms
         cos = np.where(norms > 0, cos, -2.0)
@@ -108,11 +111,12 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     fine = a.fine_grid
     duals = fine.dual_points()
     radius = fine.dual_radius().ravel()
+    norms = radius.reshape(fine.shape)
 
     def cone_masks():
         # one mask at a time: holding every cone's mask raises peak memory
         for cone in cones.cones:
-            mask = (cone.contains(duals).ravel()
+            mask = (cone.contains(duals, norms).ravel()
                     & (radius >= LOW_FREQUENCY_CUTOFF))
             if int(mask.sum()) < MIN_CONE_NODES:
                 raise ResolutionError(

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import gfalg
 from gfalg.cli import main
 
 
@@ -80,6 +83,23 @@ class TestClassify:
             "expect": {"verdict.classification": "moderate"}}))
         code, _, _ = run(tmp_path, "classify", "--config", str(cfgp))
         assert code == 0
+
+
+class TestThreadCount:
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(gfalg.__file__))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "gfalg.cli", "embed", "--dist",
+                 "delta_prime", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestManifest:
@@ -157,6 +177,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert next(iter(entry)) in err
+
+    @pytest.mark.parametrize("entry", [
+        {"grid_n": 100}, {"grid_n": 128}, {"grid_n": 3000},
+        {"grid_half_width": 0}, {"window_radius": -2.0},
+        {"wf_radius": -1}, {"sigma": 1.0}, {"ladder_eps0": 0},
+        {"ladder_eps0": 1.5}, {"ladder_ratio": 1.0}, {"ladder_ratio": 0},
+        {"ladder_count": 5}])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys,
+                                               entry):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"dist": "delta", **entry}))
+        code, out, _ = run(tmp_path, "wavefront", "--config", str(cfgp))
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{next(iter(entry))}=" in err
 
     def test_aliasing_ladder_rejected(self, tmp_path, capsys):
         code, _, _ = run(tmp_path, "embed", "--dist", "delta",

@@ -37,6 +37,14 @@ class TestCones:
         hits = sum(c.contains(pts).astype(int) for c in part.cones)
         assert np.all(hits >= 1)  # overlap: every direction in some cone
 
+    def test_known_norms_give_the_same_masks(self):
+        grid = GridSpec(2, 2.5, 256)
+        duals = grid.dual_points()
+        norms = grid.dual_radius()
+        for cone in ConePartition.sectors_2d(8).cones:
+            assert np.array_equal(cone.contains(duals, norms),
+                                  cone.contains(duals))
+
     def test_sector_count_validated(self):
         with pytest.raises(ValueError):
             ConePartition.sectors_2d(1)

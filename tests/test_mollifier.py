@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,92 @@ class TestProfile:
         p = PlateauProfile(2.0, 1.0, 2.0)
         v = p(np.linspace(0, 3, 500))
         assert np.all((0.0 <= v) & (v <= 1.0))
+
+
+def _two_branch_profile(p, u):
+    """The profile as first written: the upper minus the lower cumulative
+    of the bump, each behind its own branch, by matrix-vector quadrature."""
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    rb = 0.5 * (p.r_outer - p.r_inner)
+    c = 0.5 * (p.r_inner + p.r_outer)
+
+    def cumulative(q):
+        half = 0.5 * (q + rb)
+        v = (half[:, None] * (nodes + 1.0) - rb) / rb
+        vals = np.zeros_like(v)
+        inside = np.abs(v) < 1.0
+        vals[inside] = np.exp(
+            -(1.0 - v[inside] ** 2) ** (-1.0 / (p.sigma - 1.0)))
+        return half * (vals @ weights)
+
+    norm = cumulative(np.array([rb]))[0]
+    r = np.abs(u)
+    upper = np.where(r + c >= rb, norm, cumulative(np.minimum(r + c, rb)))
+    lower = np.where(r - c <= -rb, 0.0, cumulative(np.maximum(r - c, -rb)))
+    out = np.clip((upper - lower) / norm, 0.0, 1.0)
+    out[r <= p.r_inner] = 1.0
+    out[r >= p.r_outer] = 0.0
+    return out
+
+
+class TestProfileEvaluation:
+    """psi is a pure function of |u|, evaluated once per distinct radius."""
+
+    PROFILES = [PlateauProfile(s, lo, hi) for s in (1.5, 2.0, 3.0)
+                for lo, hi in ((1.0, 2.0), (0.25, 3.0))]
+
+    @pytest.mark.parametrize("p", PROFILES[:2])
+    def test_pure_under_permutation_and_duplicates(self, p):
+        u = np.random.default_rng(7).uniform(-1.2 * p.r_outer,
+                                             1.2 * p.r_outer, 3000)
+        values = p(u)
+        alone = np.array([p(u[i:i + 1])[0] for i in range(u.size)])
+        assert np.array_equal(values, alone)
+        perm = np.random.default_rng(8).permutation(u.size)
+        assert np.array_equal(p(u[perm]), values[perm])
+        doubled = np.concatenate([u, -u[::3], u[:500]])
+        assert np.array_equal(
+            p(doubled), np.concatenate([values, values[::3], values[:500]]))
+
+    def test_pure_across_blocks(self):
+        # more distinct band radii than one quadrature block holds
+        p = PlateauProfile(1.5, 1.0, 2.0)
+        u = np.random.default_rng(9).uniform(1.0, 2.0, 70001)
+        pieces = np.concatenate([p(u[i:i + 997])
+                                 for i in range(0, u.size, 997)])
+        assert np.array_equal(p(u), pieces)
+
+    @pytest.mark.parametrize("p", PROFILES)
+    def test_matches_the_two_branch_formula(self, p):
+        u = np.linspace(0.0, 1.1 * p.r_outer, 4001)
+        assert np.max(np.abs(p(u) - _two_branch_profile(p, u))) <= 1e-15
+
+    @pytest.mark.parametrize("p", PROFILES)
+    def test_exact_plateau_and_cutoff(self, p):
+        assert np.all(p(np.linspace(-p.r_inner, p.r_inner, 101)) == 1.0)
+        beyond = np.concatenate([np.linspace(p.r_outer, 4 * p.r_outer, 101),
+                                 -np.linspace(p.r_outer, 4 * p.r_outer, 101)])
+        assert np.all(p(beyond) == 0.0)
+
+    @pytest.mark.parametrize("p", PROFILES)
+    def test_non_increasing_across_the_band(self, p):
+        # near r_outer, psi = (norm - lower) / norm cancels to a few ulps
+        # of 1, so a rise below that is round-off, not shape
+        v = p(np.linspace(p.r_inner, p.r_outer, 2001))
+        assert np.all(np.diff(v) <= 4 * np.finfo(float).eps)
+
+    def test_window_transient_stays_bounded(self):
+        # a depth-10 rung's refined grid: 262144 points, 65536 of them in
+        # the band; one (65536 x 96) quadrature array over the whole band
+        # would take 50 MB, and its temporaries several times that
+        fine = GridSpec(1, 20.0, 4096).refine(64)
+        tracemalloc.start()
+        try:
+            plateau_window(fine, 0.0, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestContract:
