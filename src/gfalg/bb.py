@@ -39,19 +39,22 @@ def _require_edge_negligible(f: np.ndarray, label: str) -> None:
             "(dual-grid quadrature assumes a compactly supported function)")
 
 
-def _log_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction,
-              lam: float, variant) -> float:
-    """log of the weighted Fourier--Lebesgue norm; -inf for the zero
-    function.  All accumulation happens in log space so that large
-    lambda*omega exponents cannot overflow."""
-    fhat = forward(np.asarray(f), grid)
-    mag = np.abs(fhat).ravel()
-    radius = grid.dual_radius().ravel()
-    log_w = lam * w(radius)
+def _log_spectrum(f: np.ndarray, grid: GridSpec, omega: np.ndarray) -> tuple:
+    """log|fhat| on the dual nodes where fhat != 0, and omega(|xi|) on the
+    same nodes; ``omega`` holds omega(|xi|) on every node in fft order."""
+    mag = np.abs(forward(np.asarray(f), grid)).ravel()
     pos = mag > 0
-    if not pos.any():
+    return np.log(mag[pos]), omega[pos]
+
+
+def _log_norm(spectrum: tuple, grid: GridSpec, lam: float, variant) -> float:
+    """log of the weighted Fourier--Lebesgue norm of a :func:`_log_spectrum`
+    pair; -inf for the zero function.  All accumulation happens in log
+    space so that large lambda*omega exponents cannot overflow."""
+    log_mag, omega = spectrum
+    if log_mag.size == 0:
         return -np.inf
-    log_terms = np.log(mag[pos]) + log_w[pos]
+    log_terms = log_mag + lam * omega
     if variant == "inf":
         return float(np.max(log_terms))
     p = float(variant)
@@ -73,7 +76,8 @@ def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
     if str(variant) not in ("1", "2", "inf"):
         raise ValueError('variant must be one of "1", "2", "inf"')
     _require_edge_negligible(f, "fl_norm")
-    ln = _log_norm(f, grid, w, lam, str(variant))
+    spectrum = _log_spectrum(f, grid, w(grid.dual_radius().ravel()))
+    ln = _log_norm(spectrum, grid, lam, str(variant))
     if ln == -np.inf:
         return 0.0
     if ln > LOG_SPACE_GUARD:
@@ -83,36 +87,34 @@ def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
 
 @dataclass(frozen=True)
 class OmegaNormLadder:
-    """Per-rung weighted Fourier--Lebesgue norms of a net's frames, stored
-    in log space (values may exceed float range in linear space)."""
+    """Per-rung weighted FL1 norms of a net's frames, stored in log space
+    (values may exceed float range in linear space)."""
 
     lam: float
-    variant: str
-    weight: WeightFunction
     log_values: np.ndarray
 
-    @property
-    def values(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(np.minimum(self.log_values, 709.0))
 
-    def to_json(self) -> dict:
-        return {"lambda": self.lam, "variant": self.variant,
-                "weight": self.weight.to_json(),
-                "log_values": [float(v) for v in self.log_values]}
-
-
-def omega_norm_ladder(a: NetFunction, w: WeightFunction, lam: float,
-                      variant="1") -> OmegaNormLadder:
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+def _fl1_ladders(a: NetFunction, w: WeightFunction, lams) -> dict:
+    """{lambda: per-rung log FL1 norms}: each frame is transformed once and
+    omega(|xi|) is evaluated once for every lambda."""
     fine = a.fine_grid
     for fr in a.frames:
         _require_edge_negligible(fr, "omega_norm_ladder")
-    logs = np.array([_log_norm(fr, fine, w, lam, str(variant))
-                     for fr in a.frames])
-    return OmegaNormLadder(lam=float(lam), variant=str(variant), weight=w,
-                           log_values=logs)
+    omega = w(fine.dual_radius().ravel())
+    logs = {lam: np.empty(a.ladder.count) for lam in lams}
+    for j, fr in enumerate(a.frames):
+        spectrum = _log_spectrum(fr, fine, omega)
+        for lam, values in logs.items():
+            values[j] = _log_norm(spectrum, fine, lam, "1")
+    return logs
+
+
+def omega_norm_ladder(a: NetFunction, w: WeightFunction,
+                      lam: float) -> OmegaNormLadder:
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    return OmegaNormLadder(lam=float(lam),
+                           log_values=_fl1_ladders(a, w, (lam,))[lam])
 
 
 @dataclass(frozen=True)
@@ -153,10 +155,11 @@ def norm_equivalence_check(f: np.ndarray, grid: GridSpec, w: WeightFunction,
                          "constant b")
     shift = (grid.dim + 1) / b
     _require_edge_negligible(f, "norm_equivalence_check")
-    log_inf = _log_norm(f, grid, w, lam, "inf")
-    log_one = _log_norm(f, grid, w, lam, "1")
-    log_two = _log_norm(f, grid, w, lam, "2")
-    log_inf_sh = _log_norm(f, grid, w, lam + shift, "inf")
+    spectrum = _log_spectrum(f, grid, w(grid.dual_radius().ravel()))
+    log_inf = _log_norm(spectrum, grid, lam, "inf")
+    log_one = _log_norm(spectrum, grid, lam, "1")
+    log_two = _log_norm(spectrum, grid, lam, "2")
+    log_inf_sh = _log_norm(spectrum, grid, lam + shift, "inf")
     if log_one == -np.inf:  # zero function: 0 <= 0 <= 0
         return NormEquivalenceReport(
             lam=lam, lam_shift=shift, norm_inf=0.0, norm_one=0.0,
@@ -193,12 +196,10 @@ def classify_net_bb(a: NetFunction, w: WeightFunction,
     stay bounded, Roumieu asks some lambda to.  Negligibility is decided on
     the 0-th order sup norms via nu_j = (-log S_eps)/omega(1/eps_j), which
     the weight-function null characterization licenses."""
-    scale = FunctionScale(w, a.ladder)
-    log_ladders = {lam: omega_norm_ladder(a, w, lam, "1").log_values
-                   for lam in LAMBDA_GRID}
     sups = _frame_sups(a)
-    return classify_growth(scale, log_ladders, sups, float(np.max(sups)),
-                           mode or a.mode)
+    return classify_growth(FunctionScale(w, a.ladder),
+                           _fl1_ladders(a, w, LAMBDA_GRID), sups,
+                           float(np.max(sups)), mode or a.mode)
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,20 @@ def _parse_pair(text: str, n: int, label: str):
     if len(parts) != n:
         raise ConfigError(f"--{label} needs {n} comma-separated values")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"--{label}: {exc}") from None
+    for v in values:
+        if not np.isfinite(v):
+            raise ConfigError(f"--{label}: {v!r} is not a finite number")
+    return values
+
+
+def _whole(value: float, label: str) -> int:
+    """The integer slot of a flag: N of --grid, COUNT of --ladder."""
+    if not value.is_integer():
+        raise ConfigError(f"--{label}: {value!r} is not a whole number")
+    return int(value)
 
 
 def _type_matches(value, default) -> bool:
@@ -169,10 +180,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.sigma = args.sigma
     if args.grid:
         n, half = _parse_pair(args.grid, 2, "grid")
-        cfg.grid_n, cfg.grid_half_width = int(n), half
+        cfg.grid_n, cfg.grid_half_width = _whole(n, "grid"), half
     if args.ladder:
         e0, r, c = _parse_pair(args.ladder, 3, "ladder")
-        cfg.ladder_eps0, cfg.ladder_ratio, cfg.ladder_count = e0, r, int(c)
+        cfg.ladder_eps0, cfg.ladder_ratio, cfg.ladder_count = (
+            e0, r, _whole(c, "ladder"))
     if cfg.mode not in ("beurling", "roumieu"):
         raise ConfigError("mode must be beurling or roumieu")
     _check_ranges(cfg)
@@ -405,7 +417,7 @@ def cmd_bb_classify(cfg: ExperimentConfig) -> tuple[dict, dict]:
     dist, net = _embed(cfg)
     netw = window_net(net, cfg.window_center, cfg.window_radius)
     verdict = classify_net_bb(netw, omega, cfg.mode)
-    ladder1 = omega_norm_ladder(netw, omega, 1.0, "1")
+    ladder1 = omega_norm_ladder(netw, omega, 1.0)
     report = {
         "mode": "bb",
         "weight_function": omega.to_json(),

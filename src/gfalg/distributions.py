@@ -114,16 +114,15 @@ def spectral_data(m: ModelDistribution):
         "spatial path")
 
 
-def required_oversample(ladder: EpsilonLadder, grid: GridSpec,
-                        margin: float = ALIAS_MARGIN) -> int:
+def required_oversample(ladder: EpsilonLadder, grid: GridSpec) -> int:
     """Smallest power-of-two refinement making the scaled mollifier spectrum
     fit below Nyquist with head-room at every rung."""
-    need = margin * 2.0 / (ladder.eps_min * grid.dual_max)
+    need = ALIAS_MARGIN * 2.0 / (ladder.eps_min * grid.dual_max)
     m = 1
     while m < need:
         m *= 2
         if m > MAX_OVERSAMPLE:
-            eps_min = margin * 2.0 / (MAX_OVERSAMPLE * grid.dual_max)
+            eps_min = ALIAS_MARGIN * 2.0 / (MAX_OVERSAMPLE * grid.dual_max)
             raise AliasingError(
                 f"ladder reaches eps={ladder.eps_min:.3g}, below the smallest "
                 f"value {eps_min:.3g} resolvable with oversampling capped at "
@@ -163,21 +162,20 @@ def _heaviside_frame(psi_eps: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def regularize(m: ModelDistribution, moll: MollifierNet,
                ladder: EpsilonLadder, grid: GridSpec,
-               mode: str = "beurling", weight=None,
-               margin: float = ALIAS_MARGIN) -> NetFunction:
+               mode: str = "beurling", weight=None) -> NetFunction:
     """The embedding on the catalog: frames are f * phi_eps, built on an
     internally refined grid chosen so every psi(eps*xi) is alias-free."""
     if m.kind == "tensor2d":
-        return _regularize_tensor(m, moll, ladder, grid, mode, weight, margin)
+        return _regularize_tensor(m, moll, ladder, grid, mode, weight)
     if grid.dim != 1:
         raise ValueError("non-tensor kinds are 1-D")
-    over = required_oversample(ladder, grid, margin)
+    over = required_oversample(ladder, grid)
     fine = grid.refine(over)
     xi = fine.dual_axis()
     abs_xi = np.abs(xi)
 
     fhat_vals = None
-    if m.kind not in ("delta", "heaviside"):
+    if m.kind != "heaviside":
         try:
             fhat_vals = spectral_data(m)(xi)
         except SpatialPathError:
@@ -186,9 +184,7 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
     frames = []
     for eps in ladder.values:
         psi_eps = moll.profile(eps * abs_xi)
-        if m.kind == "delta":
-            frames.append(inverse(psi_eps, fine).real)
-        elif m.kind == "heaviside":
+        if m.kind == "heaviside":
             frames.append(_heaviside_frame(psi_eps, fine))
         else:
             frames.append(_maybe_real(inverse(fhat_vals * psi_eps, fine)))
@@ -196,14 +192,14 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
                        mode=mode, weight=weight, oversample=over)
 
 
-def _regularize_tensor(m, moll, ladder, grid, mode, weight, margin):
+def _regularize_tensor(m, moll, ladder, grid, mode, weight):
     """tensor2d frames: outer products of the factors' 1-D frames, stored on
     the base 2-D grid (pointwise-exact decimated samples; keeping small-eps
     2-D frames on a refined grid would be prohibitively large)."""
     if grid.dim != 2:
         raise ValueError("tensor2d needs a 2-D grid")
     axis_grid = GridSpec(1, grid.half_width, grid.n)
-    nets = [regularize(f, moll, ladder, axis_grid, mode, weight, margin)
+    nets = [regularize(f, moll, ladder, axis_grid, mode, weight)
             for f in m.factors]
     f1 = nets[0].base_frames()
     f2 = nets[1].base_frames()

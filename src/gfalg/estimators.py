@@ -27,6 +27,9 @@ KH_GRID = 2.0 ** np.arange(-4, 5)
 #: end of the grid, so a witness cannot sit exactly on a boundary artifact.
 FORALL_EXTENSION = 2.0 ** -5
 
+#: the values a "for all" leg runs over: the grid and the extension.
+PATTERN_GRID = np.array([FORALL_EXTENSION, *KH_GRID])
+
 #: log-residual slack operationalizing "O(...)" along the ladder.
 O_SLACK = 1.0
 
@@ -128,9 +131,7 @@ MODERATION_ALPHA_MAX = 4
 
 
 def classify_net(a: NetFunction, box, mode: str = None,
-                 seq: WeightSequence = None,
-                 h_grid=MODERATION_H_GRID,
-                 alpha_max: int = MODERATION_ALPHA_MAX) -> GrowthVerdict:
+                 seq: WeightSequence = None) -> GrowthVerdict:
     """Moderate / negligible / neither / inconclusive verdict for a net at
     the scales e^{M(k/eps)}.
 
@@ -141,10 +142,11 @@ def classify_net(a: NetFunction, box, mode: str = None,
     """
     mode = mode or a.mode
     seq = _require_sequence(a, seq)
-    alphas, sups = _derivative_sups(a, box, alpha_max, "classify_net")
+    alphas, sups = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
+                                    "classify_net")
     with np.errstate(divide="ignore"):
         log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
-                       for h in h_grid}
+                       for h in MODERATION_H_GRID}
     order0 = _graded(alphas[:1], sups[:1], 1.0, seq)
     sup_scale = max(float(np.max(np.abs(fr))) for fr in a.frames)
     return classify_growth(SequenceScale(seq, a.ladder), log_ladders, order0,
@@ -272,8 +274,7 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     """
     eps = a.ladder.values
     seq = resolved_for(seq, float(KH_GRID.max()) / float(eps.min()))
-    scale = {float(k): assoc(seq, k / eps)
-             for k in np.concatenate([KH_GRID, [FORALL_EXTENSION]])}
+    scale = {float(k): assoc(seq, k / eps) for k in PATTERN_GRID}
 
     def bounded(h: float, k: float) -> bool:
         sup = sups_by_h[float(h)]
@@ -291,27 +292,22 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
         return bool(np.max(rf) <= r0 + O_SLACK
                     and rf[-1] <= np.min(rf) + O_SLACK)
 
+    # the witness searched for is k in Beurling mode and h in Roumieu mode;
+    # the other one runs over the 'for all' leg
+    witness = "k" if mode == "beurling" else "h"
+
+    def h_and_k(found, every):
+        return (every, found) if witness == "k" else (found, every)
+
+    for found in KH_GRID[::-1]:
+        if all(bounded(*h_and_k(found, every)) for every in PATTERN_GRID):
+            return "regular", {witness: float(found)}, {}
+    found = float(KH_GRID.max())
     residuals = {}
-    if mode == "beurling":
-        h_all = np.concatenate([[FORALL_EXTENSION], KH_GRID])
-        for k in KH_GRID[::-1]:
-            if all(bounded(h, k) for h in h_all):
-                return "regular", {"k": float(k)}, residuals
-        k_max = float(KH_GRID.max())
-        for h in h_all:
-            r = sups_by_h[float(h)] - scale[k_max]
-            residuals[f"h={h:g},k={k_max:g}"] = r
-        return "not_regular", {"k_tried_max": k_max}, residuals
-    else:
-        k_all = np.concatenate([[FORALL_EXTENSION], KH_GRID])
-        for h in KH_GRID[::-1]:
-            if all(bounded(h, k) for k in k_all):
-                return "regular", {"h": float(h)}, residuals
-        h_max = float(KH_GRID.max())
-        for k in k_all:
-            r = sups_by_h[h_max] - scale[float(k)]
-            residuals[f"h={h_max:g},k={k:g}"] = r
-        return "not_regular", {"h_tried_max": h_max}, residuals
+    for every in PATTERN_GRID:
+        h, k = h_and_k(found, every)
+        residuals[f"h={h:g},k={k:g}"] = sups_by_h[float(h)] - scale[float(k)]
+    return "not_regular", {f"{witness}_tried_max": found}, residuals
 
 
 def regularity_test(a: NetFunction, mode: str = None,
@@ -323,8 +319,7 @@ def regularity_test(a: NetFunction, mode: str = None,
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
     seq = _require_sequence(a, seq)
-    h_values = np.concatenate([[FORALL_EXTENSION], KH_GRID])
-    (sups,), seq_big = _log_transform_sups(a, h_values, seq, [None])
+    (sups,), seq_big = _log_transform_sups(a, PATTERN_GRID, seq, [None])
     verdict, witness, residuals = _pattern_search(a, sups, seq_big, mode)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

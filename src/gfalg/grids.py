@@ -94,10 +94,12 @@ def forward(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     ph_fwd, _ = _phases(grid.n, grid.half_width)
     out = np.asarray(f, dtype=complex)
     for ax in range(grid.dim):
-        out = grid.spacing * grid.n * np.fft.ifft(out, axis=ax)
+        # the transform's output is fresh: scale and phase it in place
+        out = np.fft.ifft(out, axis=ax)
+        out *= grid.spacing * grid.n
         shape = [1] * grid.dim
         shape[ax] = grid.n
-        out = out * ph_fwd.reshape(shape)
+        out *= ph_fwd.reshape(shape)
     return out
 
 
@@ -108,7 +110,9 @@ def inverse(fhat: np.ndarray, grid: GridSpec) -> np.ndarray:
     for ax in range(grid.dim):
         shape = [1] * grid.dim
         shape[ax] = grid.n
-        out = np.fft.fft(out * ph_inv.reshape(shape), axis=ax) / (grid.n * grid.spacing)
+        # the product may not overwrite ``fhat``; the transform's output may
+        out = np.fft.fft(out * ph_inv.reshape(shape), axis=ax)
+        out /= grid.n * grid.spacing
     return out
 
 

@@ -6,15 +6,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResolutionError
-from .estimators import (FORALL_EXTENSION, KH_GRID, _log_transform_sups,
-                         _pattern_search, _require_sequence)
-from .mollifier import plateau_window
-from .nets import NetFunction
+from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
+                         _require_sequence)
+from .nets import NetFunction, window_net
 from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
@@ -67,10 +66,12 @@ class ConePartition:
             Cone("-", (-1.0,), np.pi / 2)))
 
     @staticmethod
-    def sectors_2d(n_cones: int = 8, overlap: float = 0.25) -> "ConePartition":
+    def sectors_2d(n_cones: int = 8) -> "ConePartition":
+        """``n_cones`` equal sectors, each widened by a quarter of its
+        width so that neighbours overlap."""
         if n_cones < 2:
             raise ValueError("need at least 2 cones")
-        half = (1.0 + overlap) * np.pi / n_cones
+        half = 1.25 * np.pi / n_cones
         cones = []
         for i in range(n_cones):
             th = 2.0 * np.pi * i / n_cones
@@ -124,8 +125,8 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
                     "nodes; refine the grid")
             yield mask
 
-    h_values = np.concatenate([[FORALL_EXTENSION], KH_GRID])
-    per_cone, seq_big = _log_transform_sups(a, h_values, seq, cone_masks())
+    per_cone, seq_big = _log_transform_sups(a, PATTERN_GRID, seq,
+                                            cone_masks())
     out = []
     for cone, sups in zip(cones.cones, per_cone):
         verdict, witness, _ = _pattern_search(a, sups, seq_big, mode)
@@ -184,27 +185,21 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
     mode = mode or a.mode
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
-    fine = a.fine_grid
+    keys = []
     entries = []
     for center in window_centers:
         c_arr = np.atleast_1d(np.asarray(center, dtype=float))
         if np.any(np.abs(c_arr) + window_radius > a.grid.half_width):
             raise ValueError(f"window at {center} leaves the grid")
-        w = plateau_window(fine, tuple(c_arr), window_radius, WINDOW_SIGMA)
-        loc_frames = []
-        for fr in a.frames:
-            lf = fr * w
+        key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
+        keys.append(key)
+        localized = window_net(a, tuple(c_arr), window_radius, WINDOW_SIGMA)
+        for lf, fr in zip(localized.frames, a.frames):
             if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * np.max(np.abs(fr)):
-                lf = np.zeros_like(lf)
-            loc_frames.append(lf)
-        localized = replace(a, frames=tuple(loc_frames))
-        for v in sigma_g(localized, cones, mode, seq):
-            key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
-            entries.append((key, v))
-    return WaveFrontReport(centers=tuple(
-        float(np.atleast_1d(c)[0]) if a.grid.dim == 1
-        else tuple(map(float, np.atleast_1d(c))) for c in window_centers),
-        radius=window_radius, mode=mode, entries=tuple(entries))
+                lf[...] = 0  # a fresh product of window_net, never ``fr``
+        entries.extend((key, v) for v in sigma_g(localized, cones, mode, seq))
+    return WaveFrontReport(centers=tuple(keys), radius=window_radius,
+                           mode=mode, entries=tuple(entries))
 
 
 def wf_compare(oracle, report: WaveFrontReport) -> bool:

@@ -216,8 +216,8 @@ def _evenness_defect(phi: np.ndarray) -> float:
     return float(np.max(np.abs(core - mirrored)))
 
 
-def verify_mollifier(net: MollifierNet, n_moments: int = 3) -> MollifierReport:
-    """Check unit mass, vanishing low-order moments, spectral plateau and
+def verify_mollifier(net: MollifierNet) -> MollifierReport:
+    """Check unit mass, vanishing moments of orders 1-3, spectral plateau and
     cutoff, evenness, and super-polynomial spatial decay of phi.
 
     The decay check fits the largest c > 0 such that
@@ -235,7 +235,7 @@ def verify_mollifier(net: MollifierNet, n_moments: int = 3) -> MollifierReport:
 
     pts = grid.points()
     moment_defects = []
-    for k in range(1, n_moments + 1):
+    for k in (1, 2, 3):
         for ax in range(grid.dim):
             moment_defects.append(abs(integrate(net.phi * pts[ax] ** k, grid)))
 

@@ -283,16 +283,9 @@ class UltradiffOperator:
 
     def symbol(self, grid: GridSpec) -> np.ndarray:
         """P(-xi): the Fourier multiplier of Sum a_alpha D^alpha."""
-        duals = grid.dual_points()
         sym = np.zeros(grid.shape, dtype=complex)
         for alpha, val in self.coeffs.items():
-            if len(alpha) != grid.dim:
-                raise ValueError("multi-index dimension mismatch")
-            term = np.full(grid.shape, val, dtype=complex)
-            for k, xi in zip(alpha, duals):
-                if k:
-                    term = term * (-xi) ** k
-            sym += term
+            sym += val * _derivative_symbol(grid, alpha)
         return sym
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfalg.bb import (classify_net_bb, colombeau_crosscheck, fl_norm,
-                      norm_equivalence_check, omega_norm_ladder)
-from gfalg.nets import combine, constant_embed, scale, window_net
+from gfalg.bb import (LAMBDA_GRID, classify_net_bb, colombeau_crosscheck,
+                      fl_norm, norm_equivalence_check, omega_norm_ladder)
+from gfalg.nets import (FunctionScale, classify_growth, combine,
+                        constant_embed, scale, window_net)
 from gfalg.weights import WeightFunction
 
 W_LOG = WeightFunction.log_one_plus_t()
@@ -175,3 +176,49 @@ class TestCrosscheck:
         assert rep1.poly_moderate == rep2.poly_moderate
         assert rep1.fitted_order == pytest.approx(rep2.fitted_order,
                                                   abs=0.05)
+
+
+class TestOneSpectrumPerFrame:
+    """classify_net_bb reads every lambda from one spectrum per frame."""
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        from gfalg import bb
+        calls = []
+        real = bb.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bb, "forward", counted)
+        return calls
+
+    def test_classify_transforms_each_frame_once(self, catalog,
+                                                 forward_calls):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        classify_net_bb(net, W_LOG, "beurling")
+        assert len(forward_calls) == net.ladder.count
+
+    def test_norm_sandwich_transforms_once(self, grid, forward_calls):
+        x = grid.axis()
+        norm_equivalence_check(np.exp(-x ** 2), grid, W_LOG, 1.0)
+        assert len(forward_calls) == 1
+
+    @pytest.mark.parametrize("kind", ("delta", "heaviside", "gaussian"))
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_matches_per_lambda_ladders(self, catalog, kind, mode):
+        net = window_net(catalog(kind), 0.0, 10.0)
+        logs = {lam: omega_norm_ladder(net, W_SQRT, lam).log_values
+                for lam in LAMBDA_GRID}
+        sups = np.array([float(np.max(np.abs(fr))) for fr in net.frames])
+        expected = classify_growth(FunctionScale(W_SQRT, net.ladder), logs,
+                                   sups, float(np.max(sups)), mode)
+        got = classify_net_bb(net, W_SQRT, mode)
+        assert got.classification == expected.classification
+        assert got.mode == expected.mode
+        assert got.fitted == expected.fitted
+        assert list(got.kappa) == list(expected.kappa)
+        for lam in LAMBDA_GRID:
+            np.testing.assert_array_equal(got.kappa[lam], expected.kappa[lam])
+        np.testing.assert_array_equal(got.nu, expected.nu)

@@ -210,3 +210,19 @@ class TestConfigErrors:
         assert code == 0
         assert rep["config"]["dist"] == "gaussian"
         assert "out" not in rep["config"]
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("flag,value", [
+        ("ladder", "0.125,0.5,inf"), ("ladder", "0.125,0.5,8.7"),
+        ("grid", "nan,20"), ("grid", "4096.9,20"), ("grid", "4096,inf")])
+    def test_whole_finite_slots_required(self, tmp_path, capsys, flag,
+                                         value):
+        # N of --grid and COUNT of --ladder are integers; no slot may be
+        # infinite or NaN
+        code, out, _ = run(tmp_path, "weights-check", f"--{flag}", value)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"--{flag}" in err

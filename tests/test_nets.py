@@ -171,6 +171,42 @@ class TestUltradiffOperator:
         assert all(np.max(np.abs(x - y)) < 1e-11
                    for x, y in zip(got.frames, manual.frames))
 
+    def test_symbol_1d_equals_term_by_term_sum(self, small_rig):
+        grid, _, seq = small_rig
+        coeffs = {(0,): 1.0, (1,): 0.3 - 0.1j, (2,): 0.05, (3,): 0.002j,
+                  (4,): 1e-4}
+        op = UltradiffOperator(coeffs, seq, bound_c=1.0, bound_l=1.0)
+        xi = grid.dual_axis()
+        expected = np.zeros(grid.n, dtype=complex)
+        for (k,), val in coeffs.items():
+            term = np.full(grid.n, val, dtype=complex)
+            if k:
+                term = term * (-xi) ** k
+            expected += term
+        got = op.symbol(grid)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_symbol_2d_within_rounding_of_the_monomial_sum(self, small_rig):
+        _, _, seq = small_rig
+        grid = GridSpec(2, 5.0, 1024)
+        coeffs = {(0, 0): 1.0, (1, 0): 0.3 - 0.1j, (1, 1): 0.05,
+                  (2, 1): 0.002j}
+        op = UltradiffOperator(coeffs, seq, bound_c=1.0, bound_l=1.0)
+        x1, x2 = grid.dual_points()
+        # the coefficient first, then one factor per axis
+        expected = np.zeros(grid.shape, dtype=complex)
+        for (i, j), val in coeffs.items():
+            term = np.full(grid.shape, val, dtype=complex)
+            for k, xi in ((i, x1), (j, x2)):
+                if k:
+                    term = term * (-xi) ** k
+            expected += term
+        magnitude = sum(abs(val) * np.abs(x1) ** i * np.abs(x2) ** j
+                        for (i, j), val in coeffs.items())
+        u = np.finfo(float).eps
+        assert np.all(np.abs(op.symbol(grid) - expected)
+                      <= 4 * u * magnitude)
+
     def test_order_cap(self, small_rig):
         _, _, seq = small_rig
         deep = WeightSequence.gevrey(2.0, 256)
