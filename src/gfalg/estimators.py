@@ -162,10 +162,6 @@ class LKReport:
     k: int
     n: int
 
-    def to_json(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "ratio": self.ratio,
-                "holds": self.holds, "k": self.k, "n": self.n}
-
 
 def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
                             n: int) -> LKReport:
@@ -272,6 +268,8 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     Roumieu: exists h working for every k.  The 'for all' leg includes one
     octave beyond the hard end of the grid.
     """
+    if mode not in ("beurling", "roumieu"):
+        raise ValueError("mode must be 'beurling' or 'roumieu'")
     eps = a.ladder.values
     seq = resolved_for(seq, float(KH_GRID.max()) / float(eps.min()))
     scale = {float(k): assoc(seq, k / eps) for k in PATTERN_GRID}
@@ -316,8 +314,6 @@ def regularity_test(a: NetFunction, mode: str = None,
     does |fhat_eps(xi)| e^{M(|xi|/h)} stay O(e^{M(k/eps)}) in the mode's
     quantifier pattern over the (k, h) grid?"""
     mode = mode or a.mode
-    if mode not in ("beurling", "roumieu"):
-        raise ValueError("mode must be 'beurling' or 'roumieu'")
     seq = _require_sequence(a, seq)
     (sups,), seq_big = _log_transform_sups(a, PATTERN_GRID, seq, [None])
     verdict, witness, residuals = _pattern_search(a, sups, seq_big, mode)

@@ -152,13 +152,10 @@ def build_mollifier(sigma: float, grid: GridSpec) -> MollifierNet:
                         psi=psi, phi=phi)
 
 
-def sample_phi_eps(net: MollifierNet, eps: float,
-                   grid: GridSpec | None = None) -> np.ndarray:
-    """Real samples of phi_eps(x) = eps^{-d} phi(x/eps) on ``grid``
-    (default: the net's own grid), computed spectrally as the inverse
-    transform of psi(eps * xi)."""
-    if grid is None:
-        grid = net.grid
+def sample_phi_eps(net: MollifierNet, eps: float) -> np.ndarray:
+    """Real samples of phi_eps(x) = eps^{-d} phi(x/eps) on the net's grid,
+    computed spectrally as the inverse transform of psi(eps * xi)."""
+    grid = net.grid
     eps_min = 2.0 / grid.dual_max
     if eps * grid.dual_max < 2.0:
         raise AliasingError(

@@ -135,8 +135,7 @@ class GeneralizedPoint:
             raise ValueError("points leave the declared compact box")
 
 
-def constant_embed(f, ladder: EpsilonLadder, grid: GridSpec,
-                   mode: str = "beurling", weight=None,
+def constant_embed(f, ladder: EpsilonLadder, grid: GridSpec, weight=None,
                    oversample: int = 1) -> NetFunction:
     """Net with every frame equal to ``f``.
 
@@ -161,7 +160,7 @@ def constant_embed(f, ladder: EpsilonLadder, grid: GridSpec,
     samples.setflags(write=False)
     return NetFunction(ladder=ladder, grid=grid,
                        frames=(samples,) * ladder.count,
-                       mode=mode, weight=weight, oversample=oversample)
+                       weight=weight, oversample=oversample)
 
 
 _OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
@@ -295,13 +294,11 @@ def apply_ultradiff(op: UltradiffOperator, a: NetFunction) -> NetFunction:
     return _apply_symbol(a, sym, "apply_ultradiff")
 
 
-def window_net(a: NetFunction, center=0.0, radius: float = None,
+def window_net(a: NetFunction, center, radius: float,
                sigma: float = 2.0) -> NetFunction:
     """Multiply every frame by a plateau window (1 within radius/2 of the
     center, 0 beyond radius), making the net edge-negligible before
     spectral operations."""
-    if radius is None:
-        radius = 0.5 * a.grid.half_width
     w = plateau_window(a.fine_grid, center, radius, sigma)
     frames = tuple(fr * w for fr in a.frames)
     return replace(a, frames=frames)
@@ -452,6 +449,8 @@ class GrowthVerdict:
     fitted: dict
     kappa: dict = field(repr=False)
     nu: np.ndarray = field(repr=False)
+    #: the per-rung log statistics the verdict was read from, by grade
+    log_ladders: dict = field(repr=False)
 
     @property
     def moderate(self) -> bool:
@@ -516,7 +515,7 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
         classification = "neither" if clearly_growing else "inconclusive"
     return GrowthVerdict(classification=classification,
                          mode=scale.mode_prefix + mode, fitted=fitted,
-                         kappa=kappas, nu=nu)
+                         kappa=kappas, nu=nu, log_ladders=log_ladders)
 
 
 @dataclass(frozen=True)
@@ -538,18 +537,6 @@ class NumberVerdict:
         if self.moderate:
             return "moderate"
         return "neither"
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "moderate": self.moderate,
-            "negligible": self.negligible,
-            "verdict": self.verdict,
-            "kappa": [float(k) for k in self.kappa],
-            "nu": [float(v) for v in self.nu],
-            "k_moderate": self.k_moderate,
-            "k_negligible": self.k_negligible,
-        }
 
 
 def classify_generalized_number(z: GeneralizedNumber, seq: WeightSequence,

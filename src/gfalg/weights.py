@@ -20,6 +20,10 @@ from .errors import SaturationError
 
 DEFAULT_P_MAX = 256
 
+#: resolved_for gives a Gevrey-s table about 1.25 * t^(1/s) entries to
+#: resolve t, and refuses a t with t^(1/s) above this
+MAX_P_MAX = 1 << 22
+
 # Largest log t that exp() keeps finite in float64.
 _LOG_T_MAX = math.log(np.finfo(float).max)
 
@@ -47,8 +51,8 @@ class WeightSequence:
 
     @staticmethod
     def gevrey(s: float, p_max: int = DEFAULT_P_MAX) -> "WeightSequence":
-        if s <= 0:
-            raise ValueError("gevrey order s must be positive")
+        if not 0 < s < math.inf:
+            raise ValueError("gevrey order s must be positive and finite")
         # log p! by cumulative sums, no factorial evaluation
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, p_max + 1)))))
         return WeightSequence(kind="gevrey", log_m=s * log_fact, p_max=p_max, s=s)
@@ -70,13 +74,15 @@ class WeightSequence:
         """log(M_p / M_{p-1}) for p = 1..p_max; non-decreasing under (M.1)."""
         return self._inc
 
-    def is_log_convex(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(np.diff(self._inc) >= -tol))
+    def is_log_convex(self) -> bool:
+        return bool(np.all(np.diff(self._inc) >= -1e-10))
 
     @property
     def t_saturation(self) -> float:
-        """Largest t at which assoc() is still resolved by this table."""
-        return float(math.exp(self._inc[-1]))
+        """Largest t at which assoc() is still resolved by this table (inf
+        beyond float range)."""
+        top = self._inc[-1]
+        return float(math.exp(top)) if top <= _LOG_T_MAX else math.inf
 
     def to_json(self) -> dict:
         if self.kind == "gevrey":
@@ -163,18 +169,21 @@ def assoc_inverse(seq: WeightSequence, y):
 def resolved_for(seq: WeightSequence, t_needed: float) -> WeightSequence:
     """A sequence whose table resolves assoc up to ``t_needed``.
 
-    Gevrey tables are deepened as required; custom tables cannot be extended
-    and raise SaturationError instead.
+    Gevrey tables are deepened as required, within MAX_P_MAX; custom tables
+    cannot be extended.  Otherwise SaturationError is raised.
     """
     if seq.t_saturation >= t_needed:
         return seq
+    fix = "supply a deeper table"
     if seq.kind == "gevrey":
-        depth = int(math.exp(math.log(max(t_needed, 2.0)) / seq.s) * 1.25) + 16
-        return WeightSequence.gevrey(seq.s, depth)
+        log_p = math.log(max(t_needed, 2.0)) / seq.s
+        if log_p <= math.log(MAX_P_MAX):
+            depth = int(math.exp(log_p) * 1.25) + 16
+            return WeightSequence.gevrey(seq.s, depth)
+        fix = f"that needs a Gevrey table deeper than {MAX_P_MAX}"
     raise SaturationError(
-        f"custom weight table saturates at t ~ {seq.t_saturation:.6g} but "
-        f"t ~ {t_needed:.6g} is required; supply a deeper table",
-        seq.t_saturation)
+        f"{seq.kind} weight table saturates at t ~ {seq.t_saturation:.6g} "
+        f"but t ~ {t_needed:.6g} is required; {fix}", seq.t_saturation)
 
 
 def check_conditions(seq: WeightSequence) -> ConditionReport:
@@ -182,7 +191,8 @@ def check_conditions(seq: WeightSequence) -> ConditionReport:
 
     (M.2) constants: A is pinned to 1 by the p=q=0 case (M_0 = 1) and H is
     the smallest power of two making the log-scale inequality hold for all
-    p+q <= p_max.
+    p+q <= p_max.  Under (M.1) the split min_p (log M_p + log M_{r-p}) of
+    each r is taken at p = r // 2, so H needs no search over p.
     """
     if seq.p_max < 64:
         raise ValueError("check_conditions requires p_max >= 64")
@@ -198,13 +208,11 @@ def check_conditions(seq: WeightSequence) -> ConditionReport:
 
     lm = seq.log_m
     # smallest admissible log H: max over r of (log M_r - min_p (log M_p + log M_{r-p}))/r
-    log_h_req = 0.0
-    for r in range(1, seq.p_max + 1):
-        p = np.arange(0, r + 1)
-        split_min = np.min(lm[p] + lm[r - p])
-        log_h_req = max(log_h_req, (lm[r] - split_min) / r)
+    r = np.arange(1, seq.p_max + 1)
+    split_min = lm[r // 2] + lm[r - r // 2]
+    log_h_req = max(0.0, float(np.max((lm[r] - split_min) / r)))
     h_grid = 2.0 ** np.arange(0, 13)
-    ok = h_grid >= math.exp(log_h_req) * (1.0 - 1e-12)
+    ok = h_grid >= math.exp(min(log_h_req, _LOG_T_MAX)) * (1.0 - 1e-12)
     if np.any(ok):
         H = float(h_grid[np.argmax(ok)])
         m2_ok = True
@@ -229,28 +237,30 @@ def check_conditions(seq: WeightSequence) -> ConditionReport:
     )
 
 
-def check_assoc_m2(seq: WeightSequence, t_grid, A: float = 1.0, H: float | None = None) -> bool:
-    """Functional (M.2): 2*M(t) <= M(H*t) + log A on the grid, slack 1e-6."""
+def check_assoc_m2(seq: WeightSequence, t_grid, H: float | None = None) -> bool:
+    """Functional (M.2) with A = 1: 2*M(t) <= M(H*t) on the grid, slack
+    1e-6.  H defaults to the constant check_conditions finds for ``seq``."""
     if H is None:
         H = check_conditions(seq).m2_constants[1]
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = 2.0 * assoc(seq, t_grid)
-    rhs = assoc(seq, H * t_grid) + math.log(A)
+    rhs = assoc(seq, H * t_grid)
     return bool(np.all(lhs <= rhs + 1e-6))
 
 
-def gevrey_pair(s: float, p_max: int = DEFAULT_P_MAX, t_max: float = 1e6):
+def gevrey_pair(s: float):
     """Mollifier weight pair (M, N) = (gevrey(s), gevrey((1+s)/2)).
 
     Validates numerically that for l in {1, 1/2, 1/10} a finite C exists with
-    2*M(t) <= N(l*t) + C on [0, t_max]; the slower Gevrey order of N makes
+    2*M(t) <= N(l*t) + C on [0, 1e6]; the slower Gevrey order of N makes
     N(l*t) eventually dominate 2*M(t).
     """
     if s <= 1:
         raise ValueError("non-quasianalyticity requires gevrey order s > 1")
+    t_max = 1e6
     s_n = 0.5 * (1.0 + s)
-    m_seq = WeightSequence.gevrey(s, p_max)
-    n_seq = WeightSequence.gevrey(s_n, p_max)
+    m_seq = WeightSequence.gevrey(s)
+    n_seq = WeightSequence.gevrey(s_n)
     m_val = resolved_for(m_seq, t_max)
     t = np.logspace(-2, math.log10(t_max), 160)
     two_m = 2.0 * assoc(m_val, t)

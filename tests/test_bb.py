@@ -222,3 +222,19 @@ class TestOneSpectrumPerFrame:
         for lam in LAMBDA_GRID:
             np.testing.assert_array_equal(got.kappa[lam], expected.kappa[lam])
         np.testing.assert_array_equal(got.nu, expected.nu)
+
+
+class TestVerdictLadders:
+    @pytest.mark.parametrize("kind", ("delta", "heaviside", "gaussian"))
+    def test_log_ladders_match_per_lambda_ladders(self, catalog, kind):
+        net = window_net(catalog(kind), 0.0, 10.0)
+        v = classify_net_bb(net, W_LOG, "beurling")
+        assert list(v.log_ladders) == list(LAMBDA_GRID)
+        for lam in LAMBDA_GRID:
+            ref = omega_norm_ladder(net, W_LOG, lam).log_values
+            np.testing.assert_array_equal(v.log_ladders[lam], ref)
+
+    def test_log_ladders_stay_out_of_the_report(self, catalog):
+        v = classify_net_bb(window_net(catalog("delta"), 0.0, 10.0), W_LOG)
+        assert "log_ladders" not in v.to_json()
+        assert "log_ladders" not in repr(v)

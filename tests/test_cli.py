@@ -226,3 +226,129 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"--{flag}" in err
+
+
+class TestBbClassifyReusesLadder:
+    def test_one_forward_per_rung(self, tmp_path, monkeypatch):
+        # fl_norms.csv reads the classifier's lambda = 1 ladder instead of
+        # transforming every frame a second time
+        from gfalg import bb
+        calls = []
+        real = bb.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bb, "forward", counted)
+        code, out, rep = run(tmp_path, "bb-classify", "--weight",
+                             "omega:log1p", "--dist", "delta")
+        assert code == 0
+        assert len(calls) == rep["config"]["ladder_count"]
+        rows = (out / "fl_norms.csv").read_text().splitlines()
+        assert rows[0] == "eps,log_fl1_lambda1"
+        assert len(rows) == 1 + rep["config"]["ladder_count"]
+
+
+class TestWeightsCheckOrders:
+    @pytest.mark.parametrize("s,H", [("1.25", 4.0), ("1.5", 4.0),
+                                     ("2.2", 8.0), ("2.5", 8.0)])
+    def test_functional_m2_at_the_reported_h(self, tmp_path, s, H):
+        code, _, rep = run(tmp_path, "weights-check", "--weight",
+                           f"gevrey:{s}")
+        assert code == 0
+        cond = rep["results"]["conditions"]
+        assert cond["m2_constants"] == {"A": 1.0, "H": H}
+        assert cond["m2_functional_ok"]
+        assert rep["results"]["verdict"]["ok"]
+
+    @pytest.mark.parametrize("s", ["13", "20", "200", "1e300"])
+    def test_no_finite_h_is_a_failed_condition(self, tmp_path, s):
+        # H = 2^s is past the search grid: (M.2) is reported as failed,
+        # and the functional form, which needs an H, is not evaluated
+        code, _, rep = run(tmp_path, "weights-check", "--weight",
+                           f"gevrey:{s}")
+        assert code == 0
+        cond = rep["results"]["conditions"]
+        assert cond["m2_constants"]["H"] == "inf"
+        assert cond["m2_ok"] is False
+        assert cond["m2_functional_ok"] is False
+        assert rep["results"]["verdict"]["ok"] is False
+
+
+class TestContractGaps:
+    @pytest.mark.parametrize("expect", [
+        {"conditions.m2_constants": 1.0},  # a number against an object
+        {"conditions.weight.kind": 2.0},  # a number against a string
+        {"conditions.m2_constants.H": [4.0]}])
+    def test_number_against_non_number_is_a_mismatch(self, tmp_path, capsys,
+                                                    expect):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"expect": expect}))
+        code, _, rep = run(tmp_path, "weights-check", "--config", str(cfgp))
+        assert code == 1
+        assert [f["reason"] for f in rep["expectation_failures"]] == [
+            "mismatch"]
+        assert "expectation failed" in capsys.readouterr().err
+
+    def test_classify_kappa_against_a_number(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "dist": "delta", "grid_n": 256, "ladder_count": 6,
+            "expect": {"verdict.kappa": 1.0}}))
+        code, _, rep = run(tmp_path, "classify", "--config", str(cfgp))
+        assert code == 1
+        assert rep["expectation_failures"][0]["reason"] == "mismatch"
+
+    @pytest.mark.parametrize("spec", ["gevrey:nan", "gevrey:inf",
+                                      "gevrey:-inf", "gevrey:0"])
+    def test_gevrey_order_must_be_finite_and_positive(self, tmp_path, capsys,
+                                                     spec):
+        code, out, _ = run(tmp_path, "weights-check", "--weight", spec)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(spec) in err
+
+    @pytest.mark.parametrize("command,text", [
+        ("regularity", '{"window_center": NaN}'),
+        ("classify", '{"dist": "gaussian_times_sine", "freq": Infinity}'),
+        ("wavefront", '{"wf_centers": [0.0, -Infinity]}'),
+        ("classify", '{"expect": {"verdict.classification": NaN}}'),
+        ("classify", '{"sigma": 1e400}')])
+    def test_non_finite_config_value_names_its_key(self, tmp_path, capsys,
+                                                   command, text):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(text)
+        key = [k for k in json.loads(text) if k != "dist"][0]
+        code, out, _ = run(tmp_path, command, "--config", str(cfgp))
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{key}=" in err and "not finite" in err
+
+
+class TestSanitize:
+    def test_numpy_values_become_plain_json(self):
+        from gfalg.cli import _sanitize
+        import numpy as np
+        got = _sanitize({"a": np.array([1.0, np.nan, -np.inf]),
+                         "b": (np.int64(3), np.bool_(True)),
+                         "c": np.float32(0.5), "d": [np.array([[1, 2]])]})
+        assert got == {"a": [1.0, "nan", "-inf"], "b": [3, True],
+                       "c": 0.5, "d": [[[1, 2]]]}
+        assert type(got["b"][0]) is int and type(got["b"][1]) is bool
+        json.dumps(got, allow_nan=False)
+
+
+class TestSigmaFlag:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_sigma_names_its_key(self, tmp_path, capsys, value):
+        code, out, _ = run(tmp_path, "mollifier-build", "--sigma", value)
+        assert code == 2
+        assert not (out / "report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "sigma=" in err

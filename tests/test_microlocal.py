@@ -233,3 +233,15 @@ class TestReports:
         rows = list(csv.DictReader(io.StringIO(rep.to_csv())))
         assert len(rows) == len(rep.entries)
         assert {"center", "cone", "verdict"} <= set(rows[0])
+
+
+class TestModeChecked:
+    @pytest.mark.parametrize("mode", ["bogus", "Beurling"])
+    def test_wavefront_rejects_unknown_mode(self, catalog, mode):
+        with pytest.raises(ValueError):
+            wavefront(catalog("gaussian"), (0.0,), RADIUS, mode=mode)
+
+    def test_sigma_g_rejects_unknown_mode(self, catalog):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        with pytest.raises(ValueError):
+            sigma_g(net, mode="bogus")

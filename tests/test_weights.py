@@ -224,3 +224,62 @@ class TestWeightFunctions:
                   WeightFunction.custom([0.0, 1.0], [0.0, 1.0])):
             back = WeightFunction.from_json(w.to_json())
             assert back(3.7) == pytest.approx(w(3.7))
+
+
+def quadratic_m2_constant(seq: WeightSequence) -> float:
+    """The (M.2) constant H by its definition: the smallest power of two
+    at or above exp max_r (log M_r - min_p (log M_p + log M_{r-p})) / r,
+    searching every split p of every r."""
+    lm = seq.log_m
+    log_h_req = 0.0
+    for r in range(1, seq.p_max + 1):
+        p = np.arange(0, r + 1)
+        split_min = np.min(lm[p] + lm[r - p])
+        log_h_req = max(log_h_req, (lm[r] - split_min) / r)
+    h_grid = 2.0 ** np.arange(0, 13)
+    ok = h_grid >= math.exp(log_h_req) * (1.0 - 1e-12)
+    return float(h_grid[np.argmax(ok)]) if np.any(ok) else math.inf
+
+
+class TestM2ClosedForm:
+    @pytest.mark.parametrize("p_max", [64, 256, 1024])
+    @pytest.mark.parametrize("s", [*np.linspace(1.01, 3.0, 12), 4.0, 6.0,
+                                   12.5])
+    def test_matches_the_quadratic_search(self, s, p_max):
+        seq = WeightSequence.gevrey(float(s), p_max)
+        rep = check_conditions(seq)
+        H = quadratic_m2_constant(seq)
+        assert rep.m2_constants == (1.0, H)
+        assert rep.m2_ok == math.isfinite(H)
+
+    def test_deep_table_is_fast(self):
+        # the quadratic search took seconds at this depth
+        import time
+        seq = resolved_for(WeightSequence.gevrey(1.5), 4e6)
+        assert seq.p_max > 30000
+        start = time.perf_counter()
+        assert check_conditions(seq).m2_constants == (1.0, 4.0)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestTableLimits:
+    def test_saturation_beyond_float_range_is_infinite(self):
+        assert WeightSequence.gevrey(200.0).t_saturation == math.inf
+        assert WeightSequence.gevrey(2.0, 64).t_saturation == pytest.approx(
+            64.0 ** 2)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+    def test_gevrey_order_must_be_finite_and_positive(self, s):
+        with pytest.raises(ValueError):
+            WeightSequence.gevrey(s)
+
+    def test_deepening_is_capped(self):
+        # a Gevrey-1/2 table resolved up to 1e6 would hold ~1e12 entries
+        with pytest.raises(SaturationError):
+            resolved_for(WeightSequence.gevrey(0.5), 1e6)
+
+    def test_functional_m2_at_a_given_h(self):
+        seq = resolved_for(WeightSequence.gevrey(2.5), 8e6)
+        t = np.geomspace(1e-2, 1e6, 200)
+        assert check_assoc_m2(seq, t, 8.0)
+        assert not check_assoc_m2(seq, t, 2.0)
