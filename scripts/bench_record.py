@@ -1,0 +1,200 @@
+#!/usr/bin/env python3
+"""Record a parent/change benchmark comparison in BENCH_<label>.json.
+
+    python3 scripts/bench_record.py --parent REV [--change REV] --label NAME
+        [--pairs WORKLOAD=N ...] [--out PATH]
+
+Exports the ``src/`` and ``bench/`` of the parent revision with
+``git archive``, and those of the change (a revision, or by default the
+working tree) the same way into a sibling directory, so both sides run
+from equal places.  For each workload it runs ``bench/run.py --trace 0``
+in alternating pairs: pair i uses seed i on both sides, and the change runs
+first in the even pairs.  Then it makes one ``--trace 1`` run per side and
+workload, with seed 1.  The file holds every run, the median and quartiles of each
+end-to-end metric per workload and side, the pairs the change won, both
+trace count tables, both revisions and the machine.
+
+The workloads, the metrics and the run length come from BENCHMARK.json at
+the top of the repository; each workload gets 3 pairs unless ``--pairs``
+says otherwise (0 skips it).  Runs go one at a time.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TOP = Path(__file__).resolve().parent.parent
+DEFAULT_PAIRS = 3
+TRACE_SEED = 1
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(TOP), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str | None, dest: Path) -> str:
+    """Put ``src/`` and ``bench/`` of ``rev`` (None: the working tree) in
+    ``dest``; returns a description of what was exported."""
+    dest.mkdir(parents=True)
+    if rev is None:
+        skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+        for part in ("src", "bench"):
+            shutil.copytree(TOP / part, dest / part, ignore=skip)
+        dirty = git("status", "--porcelain", "--", "src", "bench")
+        head = git("rev-parse", "HEAD")
+        return f"working tree at {head}" + (" with changes" if dirty else "")
+    archive = subprocess.run(
+        ["git", "-C", str(TOP), "archive", rev, "src", "bench"],
+        check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-f", "-", "-C", str(dest)], input=archive,
+                   check=True)
+    return git("rev-parse", rev)
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
+              trace: int) -> dict:
+    """One ``bench/run.py`` run; its result line and the lines before it."""
+    cmd = [sys.executable, str(checkout / "bench" / "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, capture_output=True, text=True,
+                          cwd=checkout)
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    result = json.loads(lines[-1])
+    result["log"] = lines[:-1]
+    return result
+
+
+def spread(values: list) -> dict:
+    q1, q3 = values[0], values[0]
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "n": len(values)}
+
+
+def summarize(runs: list, metrics: list) -> dict:
+    """Per workload and metric: each side's median and quartiles, and the
+    pairs the change won (ties count for neither side)."""
+    out = {}
+    for wl in dict.fromkeys(r["workload"] for r in runs):
+        pairs = {}
+        for r in runs:
+            if r["workload"] == wl:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+        out[wl] = {}
+        for m in metrics:
+            name, sign = m["name"], 1 if m["better"] == "lower" else -1
+            sides = {s: [p[s][name] for p in pairs.values()]
+                     for s in ("parent", "change")}
+            wins = sum(sign * c < sign * p
+                       for c, p in zip(sides["change"], sides["parent"]))
+            out[wl][name] = {"unit": m["unit"], "better": m["better"],
+                             "parent": spread(sides["parent"]),
+                             "change": spread(sides["change"]),
+                             "change_won": wins, "pairs": len(pairs)}
+    return out
+
+
+def numpy_version() -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+        capture_output=True, text=True)
+    return proc.stdout.strip() or "unavailable"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="parent revision")
+    ap.add_argument("--change", help="change revision (default: the "
+                    "working tree)")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--pairs", action="append", default=[],
+                    metavar="WORKLOAD=N",
+                    help=f"pairs for one workload (default {DEFAULT_PAIRS})")
+    ap.add_argument("--out", help="output path (default BENCH_<label>.json "
+                    "at the top of the repository)")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((TOP / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    pairs = dict.fromkeys(workloads, DEFAULT_PAIRS)
+    for item in args.pairs:
+        name, _, count = item.partition("=")
+        if name not in pairs or not count.isdigit():
+            ap.error(f"--pairs {item!r}: want WORKLOAD=N with WORKLOAD one "
+                     f"of {', '.join(workloads)} and N >= 0")
+        pairs[name] = int(count)
+    seconds = float(spec["run_seconds"])
+    out_path = Path(args.out) if args.out else TOP / f"BENCH_{args.label}.json"
+
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        revisions = {"parent": export(args.parent, trees["parent"]),
+                     "change": export(args.change, trees["change"])}
+        runs, traces = [], {}
+        for wl in (w for w in workloads if pairs[w]):
+            for pair in range(1, pairs[wl] + 1):
+                order = (("change", "parent") if pair % 2 == 0
+                         else ("parent", "change"))
+                for side in order:
+                    t0 = time.time()
+                    res = run_bench(trees[side], wl, pair, seconds, 0)
+                    runs.append({
+                        "workload": wl, "pair": pair, "seed": pair,
+                        "side": side, "first": side == order[0],
+                        "correct": res["correct"],
+                        "attempted": res["attempted"],
+                        "failed": res["failed"],
+                        "metrics": {k: v["value"]
+                                    for k, v in res["metrics"].items()},
+                        "outcome": res["log"][0] if res["log"] else ""})
+                    print(f"{wl} pair {pair} {side}: wall_s "
+                          f"{runs[-1]['metrics']['wall_s']:.4g} "
+                          f"({time.time() - t0:.0f} s)", file=sys.stderr)
+            traces[wl] = {}
+            for side in ("parent", "change"):
+                res = run_bench(trees[side], wl, TRACE_SEED, seconds, 1)
+                traces[wl][side] = {
+                    "correct": res["correct"], "failed": res["failed"],
+                    "summary": [line for line in res["log"]
+                                if line.startswith(("traced passes",
+                                                    "tracing overhead"))],
+                    "counts": {k: v["value"]
+                               for k, v in res["metrics"].items()}}
+                print(f"{wl} trace {side}: correct {res['correct']}",
+                      file=sys.stderr)
+
+    record = {
+        "label": args.label,
+        "revisions": revisions,
+        "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "numpy": numpy_version()},
+        "settings": {"command": spec["command"], "seconds": seconds,
+                     "pairs": pairs, "trace_seed": TRACE_SEED},
+        "summary": summarize(runs, spec["end_to_end"]),
+        "trace": traces,
+        "runs": runs,
+    }
+    out_path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"written: {out_path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -268,23 +268,30 @@ def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
     w = parse_weight(cfg.weight)
     if isinstance(w, WeightSequence):
         rep = check_conditions(w)
-        H = rep.m2_constants[1]
         t_grid = np.geomspace(1e-2, 1e6, 200)
-        # the functional form is checked at the H reported above; without a
-        # finite H there is nothing to check
-        m2_functional_ok = bool(np.isfinite(H)) and check_assoc_m2(
-            resolved_for(w, H * t_grid[-1]), t_grid, H)
+        # the functional form is checked on a table deep enough for M(H*t);
+        # the deeper table may need a larger H, so H is read from it again
+        # until it is stable.  Without a finite H there is nothing to check.
+        H = rep.m2_constants[1]
+        m2_functional_ok = False
+        while np.isfinite(H):
+            deep = resolved_for(w, H * t_grid[-1])
+            deep_h = check_conditions(deep).m2_constants[1]
+            if deep_h == H:
+                m2_functional_ok = check_assoc_m2(deep, t_grid, H)
+                break
+            H = deep_h
+        m2_ok = bool(np.isfinite(H))
         report = {
             "weight": w.to_json(),
             "m1_ok": rep.m1_ok,
-            "m2_ok": rep.m2_ok,
-            "m2_constants": {"A": rep.m2_constants[0],
-                             "H": rep.m2_constants[1]},
+            "m2_ok": m2_ok,
+            "m2_constants": {"A": rep.m2_constants[0], "H": H},
             "m2_functional_ok": m2_functional_ok,
             "m3prime_partial_sum": rep.m3prime_partial_sum,
             "m3prime_converges": rep.m3prime_converges,
         }
-        verdict = {"ok": rep.m1_ok and rep.m2_ok and rep.m3prime_converges}
+        verdict = {"ok": rep.m1_ok and m2_ok and rep.m3prime_converges}
     else:
         t_grid = np.geomspace(1e-2, 1e6, 200)
         rep = omega_check(w, t_grid)

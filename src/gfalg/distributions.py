@@ -149,13 +149,14 @@ def _spatial_samples(m: ModelDistribution, grid: GridSpec) -> np.ndarray:
 
 def _heaviside_frame(psi_eps: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Exact band-limited-plus-ramp antiderivative of the periodized
-    phi_eps: the cumulative of the delta frame with H(0) = 1/2."""
-    xi = grid.dual_axis()
-    coef = np.zeros(grid.n, dtype=complex)
+    phi_eps: the cumulative of the delta frame with H(0) = 1/2.
+    ``psi_eps`` holds the half axis."""
+    xi = grid.half_dual_axis()
+    coef = np.zeros(xi.size, dtype=complex)
     nz = xi != 0
     # antiderivative coefficients: (dA/dx)^ = -i xi A^ must equal psi_eps
     coef[nz] = psi_eps[nz] / (-1j * xi[nz])
-    osc = inverse(coef, grid).real
+    osc = inverse(coef, grid, half=True)
     # the xi=0 mode of phi_eps has mean psi(0)/(2L); restore it as a ramp
     return 0.5 + grid.axis() / (2.0 * grid.half_width) + osc
 
@@ -171,7 +172,10 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
         raise ValueError("non-tensor kinds are 1-D")
     over = required_oversample(ladder, grid)
     fine = grid.refine(over)
-    xi = fine.dual_axis()
+    # every kind but a table is real, and so is each of its frames (phi_eps
+    # is real and even): those frames are built from the half axis
+    half = m.kind != "table"
+    xi = fine.half_dual_axis() if half else fine.dual_axis()
     abs_xi = np.abs(xi)
 
     fhat_vals = None
@@ -179,13 +183,15 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
         try:
             fhat_vals = spectral_data(m)(xi)
         except SpatialPathError:
-            fhat_vals = forward(_spatial_samples(m, fine), fine)
+            fhat_vals = forward(_spatial_samples(m, fine), fine, half=half)
 
     frames = []
     for eps in ladder.values:
         psi_eps = moll.profile(eps * abs_xi)
         if m.kind == "heaviside":
             frames.append(_heaviside_frame(psi_eps, fine))
+        elif half:
+            frames.append(inverse(fhat_vals * psi_eps, fine, half=True))
         else:
             frames.append(_maybe_real(inverse(fhat_vals * psi_eps, fine)))
     return NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),

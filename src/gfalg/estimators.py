@@ -33,6 +33,9 @@ PATTERN_GRID = np.array([FORALL_EXTENSION, *KH_GRID])
 #: log-residual slack operationalizing "O(...)" along the ladder.
 O_SLACK = 1.0
 
+#: i^k for k mod 4, exact.
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
 
 def _multi_indices(dim: int, order_max: int):
     if dim == 1:
@@ -66,6 +69,12 @@ def _box_mask(grid: GridSpec, box) -> np.ndarray:
     return mask
 
 
+def _real_1d(a: NetFunction) -> bool:
+    """Are the net's frames real samples on a 1-D grid?  Their spectra are
+    then Hermitian and are taken on the half axis."""
+    return a.grid.dim == 1 and not any(np.iscomplexobj(fr) for fr in a.frames)
+
+
 def _derivative_sups(a: NetFunction, box, alpha_max: int,
                      warn_label: str) -> tuple:
     """The multi-indices |alpha| <= alpha_max and the table of
@@ -80,8 +89,16 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     fine = a.fine_grid
     mask = _box_mask(fine, box)
     alphas = _multi_indices(a.grid.dim, alpha_max)
-    symbols = [_derivative_symbol(fine, alpha) if sum(alpha) else None
-               for alpha in alphas]
+    half = _real_1d(a)
+    if half:
+        # i^k (-xi)^k is the symbol of the plain derivative f^(k) = i^k D^k f:
+        # Hermitian, so f^(k) is real, and |f^(k)| = |D^k f|
+        xi = fine.half_dual_axis()
+        symbols = [_I_POWERS[k % 4] * (-xi) ** k if k else None
+                   for (k,) in alphas]
+    else:
+        symbols = [_derivative_symbol(fine, alpha) if sum(alpha) else None
+                   for alpha in alphas]
     sups = np.zeros((len(alphas), a.ladder.count))
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
         fhat = None
@@ -91,8 +108,8 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
             else:
                 if fhat is None:
                     _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
-                    fhat = forward(fr, fine)
-                deriv = inverse(fhat * sym, fine)
+                    fhat = forward(fr, fine, half=half)
+                deriv = inverse(fhat * sym, fine, half=half)
             sups[i, j] = float(np.max(np.abs(deriv)[mask]))
     return alphas, sups
 
@@ -227,22 +244,34 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
     holding one boolean array per rung costs more memory than the
     comparison costs time.  Returns the list of per-mask {h: sups} dicts
     and the resolved sequence.
+
+    Real 1-D frames are transformed on the half axis.  There |fhat| and
+    M(|xi|/h) are even, so a mask over the full dual axis is folded onto
+    the half axis: node k is admitted when k or -k is.
     """
     fine = a.fine_grid
-    # M(|xi|/h) depends on |xi| alone, and the dual grid's symmetries
-    # repeat each radius many times: evaluate it once per distinct radius
-    radii, node_radius = np.unique(fine.dual_radius().ravel(),
-                                   return_inverse=True)
+    half = _real_1d(a)
+    if half:
+        # the half axis holds each radius once, in increasing order
+        radii = np.abs(fine.half_dual_axis())
+        mirror = -np.arange(radii.size) % fine.n
+    else:
+        # M(|xi|/h) depends on |xi| alone, and the dual grid's symmetries
+        # repeat each radius many times: evaluate it once per distinct radius
+        radii, node_radius = np.unique(fine.dual_radius().ravel(),
+                                       return_inverse=True)
     h_values = np.asarray(h_values, dtype=float)
     seq = resolved_for(seq, float(radii[-1]) / float(h_values.min()))
     penalties = [assoc(seq, radii / h) for h in h_values]
-    mags = [np.abs(forward(fr, fine)).ravel() for fr in a.frames]
+    mags = [np.abs(forward(fr, fine, half=half)).ravel() for fr in a.frames]
     # one floor for the whole ladder: frames windowed down to rounding noise
     # must not be re-normalized into fake decay data
     top = max((float(m.max()) for m in mags), default=0.0)
     cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
     results = []
     for node_mask in node_masks:
+        if half and node_mask is not None:
+            node_mask = node_mask[: radii.size] | node_mask[mirror]
         sups = np.full((len(h_values), a.ladder.count), -np.inf)
         for j, fhat in enumerate(mags):
             keep = fhat > cut
@@ -252,7 +281,7 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
             if nodes.size == 0:
                 continue
             log_f = np.log(fhat[nodes])
-            at = node_radius[nodes]
+            at = nodes if half else node_radius[nodes]
             for i, pen in enumerate(penalties):
                 sups[i, j] = np.max(log_f + pen[at])
         results.append({float(h): row for h, row in zip(h_values, sups)})

@@ -3,6 +3,10 @@
 The transform convention is fhat(xi) = int f(x) e^{+i x.xi} dx with inverse
 f(x) = (2 pi)^{-d} int fhat(xi) e^{-i x.xi} dxi.  Dual nodes are kept in
 numpy fft (unshifted) order.
+
+The spectrum of real 1-D samples is Hermitian, fhat(-xi) = conj fhat(xi), so
+its first n//2 + 1 nodes (the half axis) determine it: ``half=True`` selects
+the real-to-complex transform pair, which does about half the work.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ class GridSpec:
     def dual_axis(self) -> np.ndarray:
         """Dual nodes in fft order, covering |xi| <= pi/dx."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
+
+    def half_dual_axis(self) -> np.ndarray:
+        """The first n//2 + 1 dual nodes in fft order: 0 and the positive
+        nodes, then the Nyquist node -pi/dx."""
+        return self.dual_axis()[: self.n // 2 + 1]
 
     def points(self):
         """Coordinate arrays: the axis itself (1-D) or a meshgrid pair (2-D)."""
@@ -88,10 +97,20 @@ def _phases(n: int, half_width: float):
     return np.exp(-1j * half_width * xi), np.exp(1j * half_width * xi)
 
 
-def forward(f: np.ndarray, grid: GridSpec) -> np.ndarray:
+def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     """Samples of fhat on the dual grid (fft order), spectrally exact for
-    band-limited periodic data."""
+    band-limited periodic data.  With ``half=True`` the samples must be real
+    and 1-D, and fhat is returned on the half axis only."""
     ph_fwd, _ = _phases(grid.n, grid.half_width)
+    if half:
+        if grid.dim != 1 or np.iscomplexobj(f):
+            raise ValueError("half spectra need real samples on a 1-D grid")
+        # n * ifft(f) = conj(fft(f)) for real f; rfft is the first half of fft
+        out = np.fft.rfft(f)
+        np.conjugate(out, out=out)
+        out *= grid.spacing
+        out *= ph_fwd[: grid.n // 2 + 1]
+        return out
     out = np.asarray(f, dtype=complex)
     for ax in range(grid.dim):
         # the transform's output is fresh: scale and phase it in place
@@ -103,9 +122,21 @@ def forward(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def inverse(fhat: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`forward`; returns complex samples on the grid."""
+def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
+    """Inverse of :func:`forward`; returns complex samples on the grid.  With
+    ``half=True`` ``fhat`` holds the half axis of a Hermitian spectrum and
+    the samples are real; the imaginary parts at 0 and at the Nyquist node,
+    which no Hermitian spectrum has, are dropped."""
     _, ph_inv = _phases(grid.n, grid.half_width)
+    if half:
+        if grid.dim != 1:
+            raise ValueError("half spectra need a 1-D grid")
+        # the product may not overwrite ``fhat``; the transform's output may
+        out = fhat * ph_inv[: grid.n // 2 + 1]
+        np.conjugate(out, out=out)
+        out = np.fft.irfft(out, n=grid.n)
+        out /= grid.spacing
+        return out
     out = np.asarray(fhat, dtype=complex)
     for ax in range(grid.dim):
         shape = [1] * grid.dim

@@ -1,0 +1,52 @@
+"""scripts/bench_record.py: the per-workload summary of paired runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _SCRIPT)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "ops", "unit": "1/s", "better": "higher"}]
+
+
+def _runs(parent, change):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change), start=1):
+        for side, v in (("parent", p), ("change", c)):
+            runs.append({"workload": "w", "pair": pair, "side": side,
+                         "metrics": {"wall_s": v, "ops": v}})
+    return runs
+
+
+def test_wins_count_by_direction_and_ties_count_for_neither():
+    out = bench_record.summarize(_runs([2.0, 2.0, 2.0, 2.0],
+                                       [1.0, 1.0, 2.0, 3.0]), METRICS)["w"]
+    assert out["wall_s"]["change_won"] == 2
+    assert out["ops"]["change_won"] == 1
+    assert out["wall_s"]["pairs"] == 4
+
+
+def test_median_and_quartiles_per_side():
+    out = bench_record.summarize(_runs([1.0, 2.0, 3.0, 4.0, 5.0],
+                                       [5.0] * 5), METRICS)["w"]
+    assert out["wall_s"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                       "n": 5}
+    assert out["wall_s"]["change"]["q1"] == out["wall_s"]["change"]["q3"]
+
+
+def test_one_run_has_no_spread():
+    assert bench_record.spread([1.5]) == {"median": 1.5, "q1": 1.5,
+                                          "q3": 1.5, "n": 1}
+
+
+def test_bad_pairs_argument_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "HEAD", "--label", "x",
+                           "--pairs", "nosuch=2"])
+    assert exc.value.code == 2
+    assert "--pairs" in capsys.readouterr().err

@@ -276,6 +276,25 @@ class TestWeightsCheckOrders:
         assert rep["results"]["verdict"]["ok"] is False
 
 
+class TestWeightsCheckDeepTable:
+    """H is read from the table the functional (M.2) is checked on."""
+
+    @pytest.mark.parametrize("s,H", [("1.01", 4.0), ("2", 4.0),
+                                     ("2.01", 8.0)])
+    def test_h_is_stable_on_the_checked_table(self, tmp_path, s, H):
+        from gfalg.weights import (WeightSequence, check_conditions,
+                                   resolved_for)
+        code, _, rep = run(tmp_path, "weights-check", "--weight",
+                           f"gevrey:{s}")
+        assert code == 0
+        cond = rep["results"]["conditions"]
+        assert cond["m2_constants"] == {"A": 1.0, "H": H}
+        assert H >= 2.0 ** float(s)  # 2 M_p M_q <= M_{p+q} needs H >= 2^s
+        assert cond["m2_ok"] and cond["m2_functional_ok"]
+        deep = resolved_for(WeightSequence.gevrey(float(s)), H * 1e6)
+        assert check_conditions(deep).m2_constants == (1.0, H)
+
+
 class TestContractGaps:
     @pytest.mark.parametrize("expect", [
         {"conditions.m2_constants": 1.0},  # a number against an object
