@@ -2,17 +2,20 @@
 """Record a parent/change benchmark comparison in BENCH_<label>.json.
 
     python3 scripts/bench_record.py --parent REV [--change REV] --label NAME
-        [--pairs WORKLOAD=N ...] [--out PATH]
+        [--pairs WORKLOAD=N ...] [--first-seed S] [--out PATH]
 
 Exports the ``src/`` and ``bench/`` of the parent revision with
 ``git archive``, and those of the change (a revision, or by default the
 working tree) the same way into a sibling directory, so both sides run
 from equal places.  For each workload it runs ``bench/run.py --trace 0``
-in alternating pairs: pair i uses seed i on both sides, and the change runs
-first in the even pairs.  Then it makes one ``--trace 1`` run per side and
-workload, with seed 1.  The file holds every run, the median and quartiles of each
-end-to-end metric per workload and side, the pairs the change won, both
-trace count tables, both revisions and the machine.
+in alternating pairs: pair i uses seed S + i - 1 on both sides, and the
+change runs first in the even pairs.  S is ``--first-seed`` (default 1),
+so a record can use seeds that were not tuned on.  Then it makes one
+``--trace 1`` run per side and workload, with seed 1.  The file holds
+every run, the median and quartiles of each end-to-end metric per
+workload and side, the pairs the change won, both trace count tables,
+both revisions and the machine: cores, platform, Python, NumPy, and the
+BLAS library NumPy was built with and its version.
 
 The workloads, the metrics and the run length come from BENCHMARK.json at
 the top of the repository; each workload gets 3 pairs unless ``--pairs``
@@ -110,11 +113,29 @@ def summarize(runs: list, metrics: list) -> dict:
     return out
 
 
-def numpy_version() -> str:
-    proc = subprocess.run(
-        [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-        capture_output=True, text=True)
-    return proc.stdout.strip() or "unavailable"
+#: prints the interpreter's NumPy version and the BLAS NumPy was built with
+_BUILD_PROBE = """
+import json, numpy
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+except (TypeError, KeyError):  # NumPy before 1.25, or no BLAS entry
+    blas = {}
+print(json.dumps({"numpy": numpy.__version__,
+                  "blas": blas.get("name", "unavailable"),
+                  "blas_version": blas.get("version", "unavailable")}))
+"""
+
+
+def numpy_build(python: str = sys.executable) -> dict:
+    """NumPy's version and its BLAS library and version, as the interpreter
+    that runs the benchmark reports them; "unavailable" where it cannot."""
+    try:
+        proc = subprocess.run([python, "-c", _BUILD_PROBE],
+                              capture_output=True, text=True)
+        return json.loads(proc.stdout)
+    except (OSError, ValueError):
+        return dict.fromkeys(("numpy", "blas", "blas_version"),
+                             "unavailable")
 
 
 def main(argv=None) -> int:
@@ -126,6 +147,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", action="append", default=[],
                     metavar="WORKLOAD=N",
                     help=f"pairs for one workload (default {DEFAULT_PAIRS})")
+    ap.add_argument("--first-seed", type=int, default=1, metavar="S",
+                    help="seed of the first pair (default 1)")
     ap.add_argument("--out", help="output path (default BENCH_<label>.json "
                     "at the top of the repository)")
     args = ap.parse_args(argv)
@@ -153,9 +176,10 @@ def main(argv=None) -> int:
                          else ("parent", "change"))
                 for side in order:
                     t0 = time.time()
-                    res = run_bench(trees[side], wl, pair, seconds, 0)
+                    seed = args.first_seed + pair - 1
+                    res = run_bench(trees[side], wl, seed, seconds, 0)
                     runs.append({
-                        "workload": wl, "pair": pair, "seed": pair,
+                        "workload": wl, "pair": pair, "seed": seed,
                         "side": side, "first": side == order[0],
                         "correct": res["correct"],
                         "attempted": res["attempted"],
@@ -183,10 +207,10 @@ def main(argv=None) -> int:
         "label": args.label,
         "revisions": revisions,
         "machine": {"cores": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(),
-                    "numpy": numpy_version()},
+                    "python": platform.python_version(), **numpy_build()},
         "settings": {"command": spec["command"], "seconds": seconds,
-                     "pairs": pairs, "trace_seed": TRACE_SEED},
+                     "pairs": pairs, "first_seed": args.first_seed,
+                     "trace_seed": TRACE_SEED},
         "summary": summarize(runs, spec["end_to_end"]),
         "trace": traces,
         "runs": runs,

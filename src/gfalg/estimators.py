@@ -69,10 +69,50 @@ def _box_mask(grid: GridSpec, box) -> np.ndarray:
     return mask
 
 
-def _real_1d(a: NetFunction) -> bool:
-    """Are the net's frames real samples on a 1-D grid?  Their spectra are
-    then Hermitian and are taken on the half axis."""
-    return a.grid.dim == 1 and not any(np.iscomplexobj(fr) for fr in a.frames)
+def _real(a: NetFunction) -> bool:
+    """Are the net's frames real?  Their spectra are then Hermitian and are
+    taken on the half spectrum (the half axis in 1-D, the half plane in
+    2-D)."""
+    return not any(np.iscomplexobj(fr) for fr in a.frames)
+
+
+def _radius_keys(grid: GridSpec, width: int, nodes: np.ndarray) -> np.ndarray:
+    """An integer key of |xi| at the flat indices ``nodes`` of a spectrum
+    whose last axis holds the first ``width`` dual nodes (n, or n//2 + 1 on
+    the half spectrum).  |xi| depends only on each axis' |k| = min(k, n - k)
+    in fft order, and in 2-D not on their order; the key is that unordered
+    pair.  Keys run over 0 .. (n//2 + 1)^dim - 1, the last one at the
+    Nyquist corner."""
+    n = grid.n
+    if grid.dim == 1:
+        return np.minimum(nodes, n - nodes)
+    rows, cols = np.divmod(nodes, width)
+    rows = np.minimum(rows, n - rows)
+    cols = np.minimum(cols, n - cols)
+    return np.minimum(rows, cols) * (n // 2 + 1) + np.maximum(rows, cols)
+
+
+def _key_radii(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
+    """|xi| of radius keys, bitwise as on the dual grid: |xi| of the nodes
+    with these axis indices, through the same ``abs``/``hypot``."""
+    m = grid.n // 2 + 1
+    abs_xi = np.abs(grid.dual_axis()[:m])
+    if grid.dim == 1:
+        return abs_xi[keys]
+    lo, hi = np.divmod(keys, m)
+    return np.hypot(abs_xi[lo], abs_xi[hi])
+
+
+def _fold(node_mask: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """A mask over the full dual grid folded onto the half spectrum: a node
+    is kept when it or its mirror node (-k mod n on every axis) is."""
+    n = grid.n
+    full = node_mask.reshape(grid.shape)
+    cols = -np.arange(n // 2 + 1) % n
+    if grid.dim == 1:
+        return full[: cols.size] | full[cols]
+    rows = -np.arange(n) % n
+    return (full[:, : cols.size] | full[np.ix_(rows, cols)]).ravel()
 
 
 def _derivative_sups(a: NetFunction, box, alpha_max: int,
@@ -89,7 +129,9 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     fine = a.fine_grid
     mask = _box_mask(fine, box)
     alphas = _multi_indices(a.grid.dim, alpha_max)
-    half = _real_1d(a)
+    # 2-D symbols are built on the full grid: 2-D frames keep the full
+    # transforms here
+    half = a.grid.dim == 1 and _real(a)
     if half:
         # i^k (-xi)^k is the symbol of the plain derivative f^(k) = i^k D^k f:
         # Hermitian, so f^(k) is real, and |f^(k)| = |D^k f|
@@ -238,53 +280,85 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
     log|fhat_j(xi)| + M(|xi|/h).  Nodes below the fft noise floor of the
     frame are excluded (they carry rounding noise, not decay data).
 
-    The transforms, the penalties M(|xi|/h) and the ladder-wide floor are
-    computed once and shared by all masks, which may be a generator
-    yielding one mask at a time.  The floor comparison is redone per mask:
-    holding one boolean array per rung costs more memory than the
-    comparison costs time.  Returns the list of per-mask {h: sups} dicts
-    and the resolved sequence.
+    Each frame is transformed once, and only its nodes above the
+    ladder-wide floor are kept.  The penalties M(|xi|/h) are evaluated at
+    the radii of kept nodes alone, once per distinct radius.  A mask is
+    read at the nodes some frame keeps (the data nodes), and a mask that
+    agrees there with an earlier one shares that mask's sups.  The masks
+    may be a generator yielding one mask at a time.  Returns the list of
+    per-mask {h: sups} dicts and the resolved sequence.
 
-    Real 1-D frames are transformed on the half axis.  There |fhat| and
-    M(|xi|/h) are even, so a mask over the full dual axis is folded onto
-    the half axis: node k is admitted when k or -k is.
+    Real frames are transformed on the half spectrum.  There |fhat| and
+    M(|xi|/h) are even, so a mask over the full dual grid is folded onto
+    the half spectrum (see :func:`_fold`); a mask of the half spectrum's
+    size is taken as already folded.
     """
     fine = a.fine_grid
-    half = _real_1d(a)
-    if half:
-        # the half axis holds each radius once, in increasing order
-        radii = np.abs(fine.half_dual_axis())
-        mirror = -np.arange(radii.size) % fine.n
-    else:
-        # M(|xi|/h) depends on |xi| alone, and the dual grid's symmetries
-        # repeat each radius many times: evaluate it once per distinct radius
-        radii, node_radius = np.unique(fine.dual_radius().ravel(),
-                                       return_inverse=True)
+    half = _real(a)
+    width = fine.n // 2 + 1 if half else fine.n
+    n_keys = (fine.n // 2 + 1) ** fine.dim
     h_values = np.asarray(h_values, dtype=float)
-    seq = resolved_for(seq, float(radii[-1]) / float(h_values.min()))
-    penalties = [assoc(seq, radii / h) for h in h_values]
-    mags = [np.abs(forward(fr, fine, half=half)).ravel() for fr in a.frames]
+    # the last radius key is the Nyquist corner, the largest radius
+    r_max = float(_key_radii(fine, np.array([n_keys - 1]))[0])
+    seq = resolved_for(seq, r_max / float(h_values.min()))
+    # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
+    # that floor is at most the ladder-wide one, so no node is lost, and no
+    # full-size |fhat_j| outlives its transform
+    frames, top = [], 0.0
+    for fr in a.frames:
+        mag = np.abs(forward(fr, fine, half=half)).ravel()
+        peak = float(mag.max())
+        nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
+        frames.append((nodes, mag[nodes]))
+        top = max(top, peak)
     # one floor for the whole ladder: frames windowed down to rounding noise
     # must not be re-normalized into fake decay data
-    top = max((float(m.max()) for m in mags), default=0.0)
     cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
-    results = []
+    # the nodes some frame keeps (the data nodes) and their radius keys;
+    # each frame's arrays are replaced in turn, to bound the peak memory
+    data = np.zeros(fine.n ** (fine.dim - 1) * width, dtype=bool)
+    used = np.zeros(n_keys, dtype=bool)
+    for j, (nodes, vals) in enumerate(frames):
+        above = vals > cut
+        nodes = nodes[above]
+        keys = _radius_keys(fine, width, nodes)
+        data[nodes] = True
+        used[keys] = True
+        frames[j] = (nodes, np.log(vals[above]), keys)
+    # M(|xi|/h) depends on |xi| alone: evaluate it once per radius key in use
+    radii = _key_radii(fine, np.flatnonzero(used))
+    penalties = [assoc(seq, radii / h) for h in h_values]
+    # per frame and kept node: its index among the data nodes, log|fhat_j|
+    # and the index of its radius key among those in use
+    position, rank = np.cumsum(data) - 1, np.cumsum(used) - 1
+    for j, (nodes, log_f, keys) in enumerate(frames):
+        frames[j] = (position[nodes], log_f, rank[keys])
+    del position, rank
+    data = np.flatnonzero(data)
+    results, seen = [], []
     for node_mask in node_masks:
-        if half and node_mask is not None:
-            node_mask = node_mask[: radii.size] | node_mask[mirror]
-        sups = np.full((len(h_values), a.ladder.count), -np.inf)
-        for j, fhat in enumerate(mags):
-            keep = fhat > cut
-            if node_mask is not None:
-                keep &= node_mask
-            nodes = np.flatnonzero(keep)
-            if nodes.size == 0:
+        inside = None
+        if node_mask is not None:
+            if half and node_mask.size == fine.n ** fine.dim:
+                node_mask = _fold(node_mask, fine)
+            inside = node_mask[data]
+            shared = next((res for earlier, res in seen
+                           if np.array_equal(earlier, inside)), None)
+            if shared is not None:
+                results.append(shared)
                 continue
-            log_f = np.log(fhat[nodes])
-            at = nodes if half else node_radius[nodes]
+        sups = np.full((len(h_values), a.ladder.count), -np.inf)
+        for j, (at, log_f, pen_at) in enumerate(frames):
+            if inside is not None:
+                sel = inside[at]
+                log_f, pen_at = log_f[sel], pen_at[sel]
+            if log_f.size == 0:
+                continue
             for i, pen in enumerate(penalties):
-                sups[i, j] = np.max(log_f + pen[at])
+                sups[i, j] = np.max(log_f + pen[pen_at])
         results.append({float(h): row for h, row in zip(h_values, sups)})
+        if inside is not None:
+            seen.append((inside, results[-1]))
     return results, seq
 
 

@@ -4,9 +4,10 @@ The transform convention is fhat(xi) = int f(x) e^{+i x.xi} dx with inverse
 f(x) = (2 pi)^{-d} int fhat(xi) e^{-i x.xi} dxi.  Dual nodes are kept in
 numpy fft (unshifted) order.
 
-The spectrum of real 1-D samples is Hermitian, fhat(-xi) = conj fhat(xi), so
-its first n//2 + 1 nodes (the half axis) determine it: ``half=True`` selects
-the real-to-complex transform pair, which does about half the work.
+The spectrum of real samples is Hermitian, fhat(-xi) = conj fhat(xi), so
+the first n//2 + 1 nodes of its last axis (the half axis in 1-D, the half
+plane in 2-D) determine it: ``half=True`` selects the real-to-complex
+transform pair, which does about half the work.
 """
 
 from __future__ import annotations
@@ -99,16 +100,20 @@ def _phases(n: int, half_width: float):
 
 def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     """Samples of fhat on the dual grid (fft order), spectrally exact for
-    band-limited periodic data.  With ``half=True`` the samples must be real
-    and 1-D, and fhat is returned on the half axis only."""
+    band-limited periodic data.  With ``half=True`` the samples must be
+    real, and fhat is returned on the half spectrum only: the first
+    n//2 + 1 nodes of the last axis, shape (n,)*(dim - 1) + (n//2 + 1,)."""
     ph_fwd, _ = _phases(grid.n, grid.half_width)
     if half:
-        if grid.dim != 1 or np.iscomplexobj(f):
-            raise ValueError("half spectra need real samples on a 1-D grid")
-        # n * ifft(f) = conj(fft(f)) for real f; rfft is the first half of fft
-        out = np.fft.rfft(f)
+        if np.iscomplexobj(f):
+            raise ValueError("half spectra need real samples")
+        # n^d * ifftn(f) = conj(fftn(f)) for real f; rfftn is the first half
+        # of fftn along the last axis
+        out = np.fft.rfftn(f)
         np.conjugate(out, out=out)
-        out *= grid.spacing
+        out *= grid.spacing ** grid.dim
+        if grid.dim == 2:
+            out *= ph_fwd[:, None]
         out *= ph_fwd[: grid.n // 2 + 1]
         return out
     out = np.asarray(f, dtype=complex)
@@ -124,18 +129,19 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
 
 def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     """Inverse of :func:`forward`; returns complex samples on the grid.  With
-    ``half=True`` ``fhat`` holds the half axis of a Hermitian spectrum and
-    the samples are real; the imaginary parts at 0 and at the Nyquist node,
-    which no Hermitian spectrum has, are dropped."""
+    ``half=True`` ``fhat`` holds the half spectrum of a Hermitian spectrum
+    and the samples are real; the parts of the input that no Hermitian
+    spectrum has (the imaginary parts at 0 and at the Nyquist node in 1-D)
+    are dropped."""
     _, ph_inv = _phases(grid.n, grid.half_width)
     if half:
-        if grid.dim != 1:
-            raise ValueError("half spectra need a 1-D grid")
         # the product may not overwrite ``fhat``; the transform's output may
         out = fhat * ph_inv[: grid.n // 2 + 1]
+        if grid.dim == 2:
+            out *= ph_inv[:, None]
         np.conjugate(out, out=out)
-        out = np.fft.irfft(out, n=grid.n)
-        out /= grid.spacing
+        out = np.fft.irfftn(out, s=grid.shape, axes=range(grid.dim))
+        out /= grid.spacing ** grid.dim
         return out
     out = np.asarray(fhat, dtype=complex)
     for ax in range(grid.dim):

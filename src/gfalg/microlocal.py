@@ -7,12 +7,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ResolutionError
-from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
-                         _require_sequence)
+from .estimators import (PATTERN_GRID, _fold, _log_transform_sups,
+                         _pattern_search, _real, _require_sequence)
+from .grids import GridSpec
 from .nets import NetFunction, window_net
 from .weights import WeightSequence
 
@@ -98,6 +100,31 @@ class ConeVerdict:
                 "witness": {k: float(v) for k, v in self.witness.items()}}
 
 
+@lru_cache(maxsize=4)
+def _cone_masks(cones: ConePartition, fine: GridSpec, half: bool) -> tuple:
+    """One flat dual-node mask per cone, without the core |xi| <
+    LOW_FREQUENCY_CUTOFF.  With ``half`` each mask is folded onto the half
+    spectrum that real frames take (see ``estimators._fold``).  The masks
+    depend on the grid and the cones alone, so every window and net on the
+    grid shares them.  A cone of fewer than MIN_CONE_NODES nodes of the
+    full grid raises ResolutionError."""
+    radius = fine.dual_radius()
+    duals = fine.dual_points()
+    high = radius >= LOW_FREQUENCY_CUTOFF
+    masks = []
+    for cone in cones.cones:
+        mask = (cone.contains(duals, radius) & high).ravel()
+        if int(mask.sum()) < MIN_CONE_NODES:
+            raise ResolutionError(
+                f"cone {cone.label} holds only {int(mask.sum())} dual "
+                "nodes; refine the grid")
+        if half:
+            mask = _fold(mask, fine)
+        mask.flags.writeable = False
+        masks.append(mask)
+    return tuple(masks)
+
+
 def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
             seq: WeightSequence = None) -> tuple:
     """Per-cone decay verdicts of a compactly supported (windowed) net: a
@@ -109,24 +136,8 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
         raise ValueError("cone partition dimension mismatch")
-    fine = a.fine_grid
-    duals = fine.dual_points()
-    radius = fine.dual_radius().ravel()
-    norms = radius.reshape(fine.shape)
-
-    def cone_masks():
-        # one mask at a time: holding every cone's mask raises peak memory
-        for cone in cones.cones:
-            mask = (cone.contains(duals, norms).ravel()
-                    & (radius >= LOW_FREQUENCY_CUTOFF))
-            if int(mask.sum()) < MIN_CONE_NODES:
-                raise ResolutionError(
-                    f"cone {cone.label} holds only {int(mask.sum())} dual "
-                    "nodes; refine the grid")
-            yield mask
-
-    per_cone, seq_big = _log_transform_sups(a, PATTERN_GRID, seq,
-                                            cone_masks())
+    masks = _cone_masks(cones, a.fine_grid, _real(a))
+    per_cone, seq_big = _log_transform_sups(a, PATTERN_GRID, seq, masks)
     out = []
     for cone, sups in zip(cones.cones, per_cone):
         verdict, witness, _ = _pattern_search(a, sups, seq_big, mode)

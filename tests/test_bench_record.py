@@ -50,3 +50,25 @@ def test_bad_pairs_argument_rejected(capsys):
                            "--pairs", "nosuch=2"])
     assert exc.value.code == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+def test_machine_entry_names_numpy_and_its_blas():
+    import numpy
+    build = bench_record.numpy_build()
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert build == {"numpy": numpy.__version__, "blas": blas["name"],
+                     "blas_version": blas["version"]}
+
+
+def test_machine_entry_without_an_interpreter_is_unavailable(tmp_path):
+    build = bench_record.numpy_build(str(tmp_path / "no-python"))
+    assert build == {"numpy": "unavailable", "blas": "unavailable",
+                     "blas_version": "unavailable"}
+
+
+def test_first_seed_must_be_a_number(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "HEAD", "--label", "x",
+                           "--first-seed", "one"])
+    assert exc.value.code == 2
+    assert "--first-seed" in capsys.readouterr().err

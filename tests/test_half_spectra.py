@@ -1,5 +1,5 @@
 """The half-spectrum path: real-to-complex transforms of real 1-D frames
-against the complex transforms they replace."""
+against the complex transforms they replace (2-D grids: test_half_plane)."""
 
 from dataclasses import replace
 
@@ -74,14 +74,14 @@ class TestHalfTransforms:
         assert np.all(np.diff(np.abs(xi)) > 0)
 
     def test_complex_or_2d_input_rejected(self):
+        # complex input, on a 1-D or a 2-D grid; real 2-D input takes the
+        # half plane (test_half_plane)
         g1 = GridSpec(1, 5.0, 256)
         g2 = GridSpec(2, 5.0, 256)
         with pytest.raises(ValueError, match="real samples"):
             forward(np.ones(256, dtype=complex), g1, half=True)
-        with pytest.raises(ValueError, match="1-D"):
-            forward(np.ones((256, 256)), g2, half=True)
-        with pytest.raises(ValueError, match="1-D"):
-            inverse(np.ones((256, 129), dtype=complex), g2, half=True)
+        with pytest.raises(ValueError, match="real samples"):
+            forward(np.ones((256, 256), dtype=complex), g2, half=True)
 
 
 class TestRegularizeOnTheHalfAxis:
@@ -221,7 +221,8 @@ class TestFullSpectraKept:
         n = net.fine_grid.n
         assert spectrum_sizes == [(n,)] * (2 * net.ladder.count)
 
-    def test_2d_net_takes_the_full_grid(self, moll, seq, spectrum_sizes):
+    @pytest.fixture
+    def net_2d(self, moll, seq):
         g2 = GridSpec(2, 2.5, 256)
         lad = EpsilonLadder(0.25, 0.5, 6)
         m = ModelDistribution(
@@ -230,7 +231,15 @@ class TestFullSpectraKept:
                      ModelDistribution("gaussian")))
         with np.errstate(all="ignore"):
             net = regularize(m, moll, lad, g2, weight=seq)
-        assert all(fr.dtype == float for fr in net.frames)
-        net = window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
-        sigma_g(net, ConePartition.sectors_2d(4), mode="beurling")
-        assert spectrum_sizes == [(256, 256)] * lad.count
+        return window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
+
+    def test_real_2d_net_takes_the_half_plane(self, net_2d, spectrum_sizes):
+        assert all(fr.dtype == float for fr in net_2d.frames)
+        sigma_g(net_2d, ConePartition.sectors_2d(4), mode="beurling")
+        assert spectrum_sizes == [(256, 129)] * net_2d.ladder.count
+
+    def test_2d_net_takes_the_full_grid(self, net_2d, spectrum_sizes):
+        # a 2-D net with complex frames
+        sigma_g(as_complex(net_2d), ConePartition.sectors_2d(4),
+                mode="beurling")
+        assert spectrum_sizes == [(256, 256)] * net_2d.ladder.count
