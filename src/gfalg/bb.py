@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _bounded_residual
 from .grids import GridSpec, forward
 from .nets import (FunctionScale, GrowthVerdict, NetFunction, _edge_mass,
                    censor_at_floor, classify_growth)
@@ -24,9 +25,6 @@ Q_GRID = tuple(range(1, 9))
 #: exponent size beyond which norm values are reported only in log space
 #: (exp would overflow float64 near 709).
 LOG_SPACE_GUARD = 600.0
-
-#: log-residual slack operationalizing "O(...)" along a ladder.
-_SLACK = 1.0
 
 _EDGE_TOL = 1e-6
 
@@ -225,11 +223,6 @@ class CrosscheckReport:
         }
 
 
-def _poly_bounded(trace: np.ndarray) -> bool:
-    half = len(trace) // 2
-    return bool(np.max(trace[half:]) <= np.max(trace[:half]) + _SLACK)
-
-
 def colombeau_crosscheck(a: NetFunction) -> CrosscheckReport:
     """For omega = log(1+t) the weighted scales coincide with the classical
     polynomial ones; this re-expresses the verdict in eps powers and flags
@@ -246,14 +239,14 @@ def colombeau_crosscheck(a: NetFunction) -> CrosscheckReport:
     # growth order: slope of log sup against log(1/eps) over the tail
     half = a.ladder.count // 2
     slope = float(np.polyfit(log_inv_eps[half:], log_sups[half:], 1)[0])
-    poly_moderate = _poly_bounded(np.maximum(log_sups, 0.0)
-                                  / np.maximum(log_inv_eps, 1e-12))
+    poly_moderate = _bounded_residual(np.maximum(log_sups, 0.0)
+                                      / np.maximum(log_inv_eps, 1e-12))
     # censored rungs are indistinguishable from zero and certify any decay
     log_eff = np.where(censored, -np.inf, log_sups)
     per_q = {}
     for q in Q_GRID:
         # sup <= C eps^q  <=>  log sup + q log(1/eps) bounded above
-        per_q[q] = _poly_bounded(log_eff + q * log_inv_eps)
+        per_q[q] = _bounded_residual(log_eff + q * log_inv_eps)
     poly_negligible = all(per_q.values())
 
     agree = (poly_moderate == verdict.moderate

@@ -496,7 +496,10 @@ def check_expectations(cfg: ExperimentConfig, report: dict) -> list:
             failures.append({"path": path, "expected": expected,
                              "actual": None, "reason": "missing"})
             continue
-        if isinstance(expected, float) or isinstance(node, float):
+        if isinstance(expected, bool) or isinstance(node, bool):
+            # a bool is never a number, as in load_config
+            ok = type(node) is type(expected) and node == expected
+        elif isinstance(expected, float) or isinstance(node, float):
             try:
                 ok = bool(abs(float(node) - float(expected))
                           <= 1e-6 * (1.0 + abs(float(expected))))
@@ -607,9 +610,10 @@ def main(argv=None) -> int:
         return 2
     if failures:
         for f in failures:
+            got = ("missing from the report" if f["reason"] == "missing"
+                   else f"got {f['actual']!r}")
             print(f"expectation failed: {f['path']}: expected "
-                  f"{f['expected']!r}, got {f['actual']!r}",
-                  file=sys.stderr)
+                  f"{f['expected']!r}, {got}", file=sys.stderr)
         return 1
     return 0
 

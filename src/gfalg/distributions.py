@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, GfalgError
+from .errors import AliasingError
 from .grids import GridSpec, forward, inverse
 from .mollifier import MollifierNet, plateau_window
 from .nets import EpsilonLadder, NetFunction
@@ -23,11 +23,6 @@ from .nets import EpsilonLadder, NetFunction
 ALIAS_MARGIN = 2.0
 
 MAX_OVERSAMPLE = 64
-
-
-class SpatialPathError(GfalgError):
-    """The kind has no usable closed-form transform; regularization goes
-    through the spatial path instead."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,8 @@ class ModelDistribution:
 
 def spectral_data(m: ModelDistribution):
     """The function xi -> fhat(xi), for kinds with closed-form or tabulated
-    transforms."""
+    transforms; ValueError for the others (heaviside, polynomial, tensor2d),
+    which :func:`regularize` builds by kind."""
     if m.kind == "delta":
         return lambda xi: np.ones_like(np.asarray(xi, dtype=float))
     if m.kind == "delta_prime":
@@ -109,9 +105,8 @@ def spectral_data(m: ModelDistribution):
             return (np.interp(xi, xi_t, re_t, left=0.0, right=0.0)
                     + 1j * np.interp(xi, xi_t, im_t, left=0.0, right=0.0))
         return fhat
-    raise SpatialPathError(
-        f"kind {m.kind!r} has no tabulated transform; regularize() uses its "
-        "spatial path")
+    raise ValueError(
+        f"kind {m.kind!r} has no closed-form or tabulated transform")
 
 
 def required_oversample(ladder: EpsilonLadder, grid: GridSpec) -> int:
@@ -138,13 +133,10 @@ def _maybe_real(frame: np.ndarray) -> np.ndarray:
 
 
 def _spatial_samples(m: ModelDistribution, grid: GridSpec) -> np.ndarray:
-    """Classical samples for kinds regularized through the discrete
-    transform of their (windowed) spatial restriction."""
-    x = grid.axis()
-    if m.kind == "polynomial":
-        q = np.polynomial.polynomial.polyval(x, np.asarray(m.coeffs))
-        return q * plateau_window(grid, 0.0, m.window_radius)
-    raise SpatialPathError(f"kind {m.kind!r} has no spatial sample path")
+    """Classical samples of a polynomial, windowed: the polynomial kind is
+    regularized through the discrete transform of these samples."""
+    q = np.polynomial.polynomial.polyval(grid.axis(), np.asarray(m.coeffs))
+    return q * plateau_window(grid, 0.0, m.window_radius)
 
 
 def _heaviside_frame(psi_eps: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -179,11 +171,10 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
     abs_xi = np.abs(xi)
 
     fhat_vals = None
-    if m.kind != "heaviside":
-        try:
-            fhat_vals = spectral_data(m)(xi)
-        except SpatialPathError:
-            fhat_vals = forward(_spatial_samples(m, fine), fine, half=half)
+    if m.kind == "polynomial":
+        fhat_vals = forward(_spatial_samples(m, fine), fine, half=half)
+    elif m.kind != "heaviside":
+        fhat_vals = spectral_data(m)(xi)
 
     frames = []
     for eps in ladder.values:

@@ -328,12 +328,11 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
     # M(|xi|/h) depends on |xi| alone: evaluate it once per radius key in use
     radii = _key_radii(fine, np.flatnonzero(used))
     penalties = [assoc(seq, radii / h) for h in h_values]
-    # per frame and kept node: its index among the data nodes, log|fhat_j|
-    # and the index of its radius key among those in use
-    position, rank = np.cumsum(data) - 1, np.cumsum(used) - 1
+    # per frame and kept node: the index of its radius key among those in use
+    rank = np.cumsum(used) - 1
     for j, (nodes, log_f, keys) in enumerate(frames):
-        frames[j] = (position[nodes], log_f, rank[keys])
-    del position, rank
+        frames[j] = (nodes, log_f, rank[keys])
+    del rank
     data = np.flatnonzero(data)
     results, seen = [], []
     for node_mask in node_masks:
@@ -348,9 +347,9 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
                 results.append(shared)
                 continue
         sups = np.full((len(h_values), a.ladder.count), -np.inf)
-        for j, (at, log_f, pen_at) in enumerate(frames):
-            if inside is not None:
-                sel = inside[at]
+        for j, (nodes, log_f, pen_at) in enumerate(frames):
+            if node_mask is not None:
+                sel = node_mask[nodes]
                 log_f, pen_at = log_f[sel], pen_at[sel]
             if log_f.size == 0:
                 continue
@@ -360,6 +359,20 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
         if inside is not None:
             seen.append((inside, results[-1]))
     return results, seq
+
+
+def _bounded_residual(r: np.ndarray) -> bool:
+    """The O(1) rule on a log-residual sequence along the ladder (largest
+    eps first).  Its finite entries are bounded when none rises more than
+    O_SLACK above the head value (the largest eps carrying data) and the
+    tail is not on a rebound: a dip-then-grow sequence is unbounded in the
+    limit even if it has not yet re-crossed its head value on the ladder.
+    With no finite entry there is nothing to bound."""
+    rf = r[np.isfinite(r)]
+    if rf.size == 0:
+        return True
+    return bool(np.max(rf) <= rf[0] + O_SLACK
+                and rf[-1] <= np.min(rf) + O_SLACK)
 
 
 def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
@@ -378,20 +391,7 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     scale = {float(k): assoc(seq, k / eps) for k in PATTERN_GRID}
 
     def bounded(h: float, k: float) -> bool:
-        sup = sups_by_h[float(h)]
-        if np.all(np.isneginf(sup)):
-            return True  # empty data: nothing to bound
-        r = sup - scale[float(k)]
-        finite = np.isfinite(r)
-        if not finite.any():
-            return True
-        rf = r[finite]
-        r0 = rf[0]  # largest eps among rungs carrying data
-        # bounded: never above the head value, and the tail is not on a
-        # rebound (a dip-then-grow sequence is unbounded in the limit even
-        # if it has not yet re-crossed its head value on the ladder)
-        return bool(np.max(rf) <= r0 + O_SLACK
-                    and rf[-1] <= np.min(rf) + O_SLACK)
+        return _bounded_residual(sups_by_h[float(h)] - scale[float(k)])
 
     # the witness searched for is k in Beurling mode and h in Roumieu mode;
     # the other one runs over the 'for all' leg

@@ -104,6 +104,7 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     real, and fhat is returned on the half spectrum only: the first
     n//2 + 1 nodes of the last axis, shape (n,)*(dim - 1) + (n//2 + 1,)."""
     ph_fwd, _ = _phases(grid.n, grid.half_width)
+    # the transform's output is fresh: scale and phase it in place
     if half:
         if np.iscomplexobj(f):
             raise ValueError("half spectra need real samples")
@@ -112,18 +113,12 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
         out = np.fft.rfftn(f)
         np.conjugate(out, out=out)
         out *= grid.spacing ** grid.dim
-        if grid.dim == 2:
-            out *= ph_fwd[:, None]
-        out *= ph_fwd[: grid.n // 2 + 1]
-        return out
-    out = np.asarray(f, dtype=complex)
-    for ax in range(grid.dim):
-        # the transform's output is fresh: scale and phase it in place
-        out = np.fft.ifft(out, axis=ax)
-        out *= grid.spacing * grid.n
-        shape = [1] * grid.dim
-        shape[ax] = grid.n
-        out *= ph_fwd.reshape(shape)
+    else:
+        out = np.fft.ifftn(f)
+        out *= (grid.spacing * grid.n) ** grid.dim
+    if grid.dim == 2:
+        out *= ph_fwd[:, None]
+    out *= ph_fwd[: grid.n // 2 + 1 if half else grid.n]
     return out
 
 
@@ -134,22 +129,17 @@ def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     spectrum has (the imaginary parts at 0 and at the Nyquist node in 1-D)
     are dropped."""
     _, ph_inv = _phases(grid.n, grid.half_width)
+    # the product may not overwrite ``fhat``; the transform's output may
+    out = fhat * ph_inv[: grid.n // 2 + 1 if half else grid.n]
+    if grid.dim == 2:
+        out *= ph_inv[:, None]
     if half:
-        # the product may not overwrite ``fhat``; the transform's output may
-        out = fhat * ph_inv[: grid.n // 2 + 1]
-        if grid.dim == 2:
-            out *= ph_inv[:, None]
         np.conjugate(out, out=out)
         out = np.fft.irfftn(out, s=grid.shape, axes=range(grid.dim))
         out /= grid.spacing ** grid.dim
         return out
-    out = np.asarray(fhat, dtype=complex)
-    for ax in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[ax] = grid.n
-        # the product may not overwrite ``fhat``; the transform's output may
-        out = np.fft.fft(out * ph_inv.reshape(shape), axis=ax)
-        out /= grid.n * grid.spacing
+    out = np.fft.fftn(out)
+    out /= (grid.n * grid.spacing) ** grid.dim
     return out
 
 

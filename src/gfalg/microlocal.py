@@ -87,11 +87,17 @@ class ConePartition:
 
 @dataclass(frozen=True)
 class ConeVerdict:
-    label: str
-    direction: tuple
+    cone: Cone
     verdict: str  # regular | singular | inconclusive
     witness: dict
-    half_angle: float = np.pi / 2
+
+    @property
+    def label(self) -> str:
+        return self.cone.label
+
+    @property
+    def direction(self) -> tuple:
+        return self.cone.direction
 
     def to_json(self) -> dict:
         return {"label": self.label,
@@ -142,9 +148,8 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     for cone, sups in zip(cones.cones, per_cone):
         verdict, witness, _ = _pattern_search(a, sups, seq_big, mode)
         out.append(ConeVerdict(
-            label=cone.label, direction=cone.direction,
-            verdict="regular" if verdict == "regular" else "singular",
-            witness=witness, half_angle=cone.half_angle))
+            cone=cone, witness=witness,
+            verdict="regular" if verdict == "regular" else "singular"))
     return tuple(out)
 
 
@@ -219,22 +224,10 @@ def wf_compare(oracle, report: WaveFrontReport) -> bool:
     there, and every flagged cone must contain an oracle direction within
     one window radius."""
     for center in report.centers:
-        expected = oracle.singular_directions(center, report.radius)
+        expected = [np.asarray(d, dtype=float) for d in
+                    oracle.singular_directions(center, report.radius)]
         for v in report.verdicts_at(center):
-            dir_arr = np.asarray(v.direction, dtype=float)
-            covered = {
-                d for d in expected
-                if _direction_in_cone(np.asarray(d, dtype=float), v)}
-            if v.verdict == "singular" and not covered:
-                return False
-            if v.verdict != "singular" and covered:
+            covered = any(v.cone.contains(d) for d in expected)
+            if covered != (v.verdict == "singular"):
                 return False
     return True
-
-
-def _direction_in_cone(d: np.ndarray, v: ConeVerdict) -> bool:
-    c = np.asarray(v.direction, dtype=float)
-    if len(c) == 1:
-        return bool(np.sign(d[0]) == np.sign(c[0]))
-    cosang = float(np.dot(d, c) / (np.linalg.norm(d) * np.linalg.norm(c)))
-    return cosang >= np.cos(v.half_angle)

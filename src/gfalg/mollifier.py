@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AliasingError, ResolutionError
 from .grids import GridSpec, integrate, inverse
-from .weights import WeightSequence, assoc
+from .weights import WeightSequence, assoc, resolved_for
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
@@ -245,11 +245,13 @@ def verify_mollifier(net: MollifierNet) -> MollifierReport:
     mask = (radius >= 1.0) & (mag > floor)
     decay_c, decay_ok = 0.0, False
     if mask.any():
-        seq = WeightSequence.gevrey(net.sigma, p_max=1024)
         rr = radius[mask]
         logmag = np.log(mag[mask])
-        for c in 2.0 ** (np.arange(12, -21, -1) / 4.0):
-            pen = assoc(seq, rr / c, on_saturation="clip")
+        cs = 2.0 ** (np.arange(12, -21, -1) / 4.0)
+        seq = resolved_for(WeightSequence.gevrey(net.sigma),
+                           float(rr.max()) / float(cs[-1]))
+        for c in cs:
+            pen = assoc(seq, rr / c)
             resid = logmag + pen
             anchor = resid[np.argmin(rr)]
             if float(np.max(resid)) <= anchor + 1.0:

@@ -371,3 +371,41 @@ class TestSigmaFlag:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "sigma=" in err
+
+
+class TestBoolIsNeverANumber:
+    """A bool in the report or in ``expect`` matches only a bool, the rule
+    load_config applies to config values."""
+
+    @pytest.mark.parametrize("command,expect", [
+        ("weights-check", {"verdict.ok": 1}),
+        ("weights-check", {"verdict.ok": 1.0}),
+        ("weights-check", {"conditions.m2_constants.A": True}),
+        ("impossibility-demo", {"verdict.non_negligible": 1.0})])
+    def test_bool_against_a_number_is_a_mismatch(self, tmp_path, capsys,
+                                                command, expect):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"expect": expect}))
+        code, _, rep = run(tmp_path, command, "--config", str(cfgp))
+        assert code == 1
+        assert [f["reason"] for f in rep["expectation_failures"]] == [
+            "mismatch"]
+        assert "expectation failed" in capsys.readouterr().err
+
+    def test_bool_against_a_bool_still_matches(self, tmp_path):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"expect": {"verdict.ok": True}}))
+        code, _, rep = run(tmp_path, "weights-check", "--config", str(cfgp))
+        assert code == 0 and rep["expectation_failures"] == []
+
+
+class TestMissingPathMessage:
+    def test_missing_path_is_named_missing(self, tmp_path, capsys):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"expect": {"verdict.absent": None}}))
+        code, _, rep = run(tmp_path, "weights-check", "--config", str(cfgp))
+        assert code == 1
+        assert rep["expectation_failures"][0]["reason"] == "missing"
+        err = capsys.readouterr().err
+        assert err == ("expectation failed: verdict.absent: expected None, "
+                       "missing from the report\n")

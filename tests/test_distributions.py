@@ -258,3 +258,12 @@ class TestClassicalOracle:
         assert o.singular_directions((0.0, 7.0), 0.5) == {(1.0, 0.0),
                                                           (-1.0, 0.0)}
         assert o.singular_directions((2.0, 0.0), 0.5) == set()
+
+
+class TestKindDispatch:
+    @pytest.mark.parametrize("m", [
+        ModelDistribution("heaviside"),
+        ModelDistribution("polynomial", coeffs=(1.0, 0.0, 2.0))])
+    def test_no_closed_form_is_a_value_error(self, m):
+        with pytest.raises(ValueError, match="closed-form"):
+            spectral_data(m)

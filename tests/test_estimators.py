@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gfalg.estimators import (MODERATION_ALPHA_MAX, MODERATION_H_GRID,
-                              classify_net, landau_kolmogorov_check,
-                              regularity_test, seminorm_ladder)
+                              O_SLACK, _bounded_residual, classify_net,
+                              landau_kolmogorov_check, regularity_test,
+                              seminorm_ladder)
 from gfalg.nets import (NetFunction, SequenceScale, classify_growth, combine,
                         window_net)
 from gfalg.weights import WeightSequence
@@ -189,3 +190,27 @@ class TestRegularity:
     def test_bad_mode_rejected(self, catalog):
         with pytest.raises(ValueError):
             regularity_test(catalog("gaussian"), mode="borel")
+
+
+class TestBoundedResidual:
+    """The one O(1) rule on log-residuals, shared by the regularity and cone
+    tests and the Colombeau cross-check."""
+
+    @pytest.mark.parametrize("r", [[], [-np.inf, -np.inf], [np.nan, np.inf]])
+    def test_no_finite_entry_is_bounded(self, r):
+        assert _bounded_residual(np.array(r, dtype=float))
+
+    def test_rise_of_exactly_the_slack_is_bounded(self):
+        assert _bounded_residual(np.array([2.5, 3.0, 2.5 + O_SLACK]))
+
+    def test_any_rise_above_the_slack_is_not(self):
+        above = np.nextafter(2.5 + O_SLACK, np.inf)
+        assert not _bounded_residual(np.array([2.5, 3.0, above]))
+
+    def test_dip_then_grow_tail_is_not_bounded(self):
+        # never above the head, but the tail climbs back from its dip
+        assert not _bounded_residual(np.array([0.0, -5.0, -4.5, -3.9]))
+
+    def test_head_is_the_first_finite_entry(self):
+        assert _bounded_residual(np.array([-np.inf, 0.0, 0.5, O_SLACK]))
+        assert not _bounded_residual(np.array([-np.inf, 0.0, 0.5, 1.5]))

@@ -93,3 +93,51 @@ class TestTransformOracles:
         dxi = 2 * np.pi / (g.n * g.spacing)
         rhs = np.sum(np.abs(fhat) ** 2) * dxi / (2 * np.pi)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestOneTransformCall:
+    """The full-grid pair is one n-D transform with broadcast phases: in 1-D
+    bitwise the per-axis formula, in 2-D within the FFT error bound of it."""
+
+    @staticmethod
+    def _per_axis(f, g, forward_side):
+        from gfalg.grids import _phases
+        ph_fwd, ph_inv = _phases(g.n, g.half_width)
+        out = np.asarray(f, dtype=complex)
+        for ax in range(g.dim):
+            shape = [1] * g.dim
+            shape[ax] = g.n
+            if forward_side:
+                out = np.fft.ifft(out, axis=ax)
+                out *= g.spacing * g.n
+                out *= ph_fwd.reshape(shape)
+            else:
+                out = np.fft.fft(out * ph_inv.reshape(shape), axis=ax)
+                out /= g.n * g.spacing
+        return out
+
+    @pytest.mark.parametrize("n", [4096, 65536])
+    def test_1d_bitwise_the_per_axis_formula(self, n):
+        g = GridSpec(1, 20.0, n)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(forward(f, g), self._per_axis(f, g, True))
+        assert np.array_equal(inverse(f, g), self._per_axis(f, g, False))
+        real = f.real.copy()
+        assert np.array_equal(forward(real, g), self._per_axis(real, g, True))
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_2d_within_the_fft_error_bound(self, n):
+        g = GridSpec(2, 20.0, n)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        u = np.finfo(float).eps / 2
+        # 4 u log2(n^2) times the l1 mass of the input, on either side
+        mass = 4 * u * np.log2(n * n) * np.sum(np.abs(f))
+        dxi = 2 * np.pi / (n * g.spacing)
+        fwd_bound = mass * g.spacing ** 2
+        inv_bound = mass * (dxi / (2 * np.pi)) ** 2
+        assert np.max(np.abs(forward(f, g) - self._per_axis(f, g, True))) \
+            <= fwd_bound
+        assert np.max(np.abs(inverse(f, g) - self._per_axis(f, g, False))) \
+            <= inv_bound

@@ -12,8 +12,9 @@ from gfalg.distributions import (ModelDistribution, classical_wf_oracle,
                                  regularize)
 from gfalg.errors import ResolutionError
 from gfalg.grids import GridSpec
-from gfalg.microlocal import (WINDOW_SIGMA, Cone, ConePartition, sigma_g,
-                              wavefront, wf_compare)
+from gfalg.microlocal import (WINDOW_SIGMA, Cone, ConePartition, ConeVerdict,
+                              WaveFrontReport, sigma_g, wavefront,
+                              wf_compare)
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, apply_ultradiff,
                         combine, constant_embed, window_net)
 
@@ -245,3 +246,43 @@ class TestModeChecked:
         net = window_net(catalog("delta"), 0.0, 10.0)
         with pytest.raises(ValueError):
             sigma_g(net, mode="bogus")
+
+
+class TestConeVerdictKeepsItsCone:
+    """A verdict reads label and direction off its cone, and wf_compare asks
+    the cone itself whether it holds an oracle direction."""
+
+    @staticmethod
+    def _report(cones, singular, center=(0.0, 0.0)):
+        entries = tuple((center, ConeVerdict(
+            cone=c, verdict="singular" if i in singular else "regular",
+            witness={})) for i, c in enumerate(cones))
+        return WaveFrontReport(centers=(center,), radius=0.5,
+                               mode="beurling", entries=entries)
+
+    def test_label_direction_and_json_are_the_cones(self):
+        cone = ConePartition.sectors_2d(8).cones[3]
+        v = ConeVerdict(cone=cone, verdict="singular", witness={"k": 2})
+        assert (v.label, v.direction) == (cone.label, cone.direction)
+        assert v.to_json() == {
+            "label": cone.label, "direction": list(cone.direction),
+            "verdict": "singular", "witness": {"k": 2.0}}
+
+    @pytest.mark.parametrize("singular,matches", [
+        ({0, 4}, True),         # exactly the cones holding (+-1, 0)
+        ({0}, False),           # (-1, 0) missed
+        ({0, 1, 4}, False),     # sector1 holds no oracle direction
+        (set(), False)])
+    def test_line_oracle_against_sectors(self, singular, matches):
+        delta_x_gauss = ModelDistribution("tensor2d", dim=2, factors=(
+            ModelDistribution("delta"), ModelDistribution("gaussian")))
+        oracle = classical_wf_oracle(delta_x_gauss)
+        report = self._report(ConePartition.sectors_2d(8).cones, singular)
+        assert wf_compare(oracle, report) is matches
+
+    def test_1d_rays(self):
+        oracle = classical_wf_oracle(ModelDistribution("delta"))
+        rays = ConePartition.rays_1d().cones
+        assert wf_compare(oracle, self._report(rays, {0, 1}, 0.0))
+        assert not wf_compare(oracle, self._report(rays, {1}, 0.0))
+        assert not wf_compare(oracle, self._report(rays, {0, 1}, 2.0))
