@@ -12,10 +12,13 @@ in alternating pairs: pair i uses seed S + i - 1 on both sides, and the
 change runs first in the even pairs.  S is ``--first-seed`` (default 1),
 so a record can use seeds that were not tuned on.  Then it makes one
 ``--trace 1`` run per side and workload, with seed 1.  The file holds
-every run, the median and quartiles of each end-to-end metric per
-workload and side, the pairs the change won, both trace count tables,
-both revisions and the machine: cores, platform, Python, NumPy, and the
-BLAS library NumPy was built with and its version.
+every run with its pass count, the median and quartiles of each end-to-end
+metric per workload and side, each side's median pass count, the pairs
+the change won, both trace count tables, both revisions and the machine:
+cores, platform, Python, NumPy, and the BLAS library NumPy was built with
+and its version.  A run's ``wall_s`` is the median over however many
+passes fit in its time, and later passes run faster than the first, so
+``wall_s`` compares fairly only between sides that fit alike pass counts.
 
 The workloads, the metrics and the run length come from BENCHMARK.json at
 the top of the repository; each workload gets 3 pairs unless ``--pairs``
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -82,6 +86,14 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return result
 
 
+def pass_count(outcome: str) -> int:
+    """The number of passes in a run's outcome line, "W: N passes, ..."."""
+    found = re.match(r"\S+: (\d+) passes,", outcome)
+    if found is None:
+        raise ValueError(f"no pass count in outcome line {outcome!r}")
+    return int(found.group(1))
+
+
 def spread(values: list) -> dict:
     q1, q3 = values[0], values[0]
     if len(values) > 1:
@@ -92,17 +104,24 @@ def spread(values: list) -> dict:
 
 def summarize(runs: list, metrics: list) -> dict:
     """Per workload and metric: each side's median and quartiles, and the
-    pairs the change won (ties count for neither side)."""
+    pairs the change won (ties count for neither side).  Under "passes",
+    each side's median pass count, when every run of the workload has
+    one."""
     out = {}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
         for r in runs:
             if r["workload"] == wl:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
         out[wl] = {}
+        if all("passes" in p[s] for p in pairs.values()
+               for s in ("parent", "change")):
+            out[wl]["passes"] = {
+                s: statistics.median(p[s]["passes"] for p in pairs.values())
+                for s in ("parent", "change")}
         for m in metrics:
             name, sign = m["name"], 1 if m["better"] == "lower" else -1
-            sides = {s: [p[s][name] for p in pairs.values()]
+            sides = {s: [p[s]["metrics"][name] for p in pairs.values()]
                      for s in ("parent", "change")}
             wins = sum(sign * c < sign * p
                        for c, p in zip(sides["change"], sides["parent"]))
@@ -178,6 +197,7 @@ def main(argv=None) -> int:
                     t0 = time.time()
                     seed = args.first_seed + pair - 1
                     res = run_bench(trees[side], wl, seed, seconds, 0)
+                    outcome = res["log"][0] if res["log"] else ""
                     runs.append({
                         "workload": wl, "pair": pair, "seed": seed,
                         "side": side, "first": side == order[0],
@@ -186,9 +206,11 @@ def main(argv=None) -> int:
                         "failed": res["failed"],
                         "metrics": {k: v["value"]
                                     for k, v in res["metrics"].items()},
-                        "outcome": res["log"][0] if res["log"] else ""})
+                        "passes": pass_count(outcome),
+                        "outcome": outcome})
                     print(f"{wl} pair {pair} {side}: wall_s "
-                          f"{runs[-1]['metrics']['wall_s']:.4g} "
+                          f"{runs[-1]['metrics']['wall_s']:.4g}, "
+                          f"{runs[-1]['passes']} passes "
                           f"({time.time() - t0:.0f} s)", file=sys.stderr)
             traces[wl] = {}
             for side in ("parent", "change"):

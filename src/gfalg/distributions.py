@@ -109,19 +109,28 @@ def spectral_data(m: ModelDistribution):
         f"kind {m.kind!r} has no closed-form or tabulated transform")
 
 
-def required_oversample(ladder: EpsilonLadder, grid: GridSpec) -> int:
-    """Smallest power-of-two refinement making the scaled mollifier spectrum
-    fit below Nyquist with head-room at every rung."""
-    need = ALIAS_MARGIN * 2.0 / (ladder.eps_min * grid.dual_max)
+def rung_oversample(eps: float, grid: GridSpec) -> int:
+    """Smallest power-of-two refinement m of the grid under whose Nyquist
+    frequency m*pi/dx the scaled mollifier spectrum, which ends at 2/eps,
+    fits with head-room: ALIAS_MARGIN * 2/eps <= m * pi/dx.  The search
+    stops at 2 * MAX_OVERSAMPLE, which stands for "none up to the cap"."""
+    need = ALIAS_MARGIN * 2.0 / (eps * grid.dual_max)
     m = 1
-    while m < need:
+    while m < need and m <= MAX_OVERSAMPLE:
         m *= 2
-        if m > MAX_OVERSAMPLE:
-            eps_min = ALIAS_MARGIN * 2.0 / (MAX_OVERSAMPLE * grid.dual_max)
-            raise AliasingError(
-                f"ladder reaches eps={ladder.eps_min:.3g}, below the smallest "
-                f"value {eps_min:.3g} resolvable with oversampling capped at "
-                f"{MAX_OVERSAMPLE}", eps_min_admissible=eps_min)
+    return m
+
+
+def required_oversample(ladder: EpsilonLadder, grid: GridSpec) -> int:
+    """The refinement every rung fits under: the largest
+    :func:`rung_oversample` along the ladder."""
+    m = max(rung_oversample(float(eps), grid) for eps in ladder.values)
+    if m > MAX_OVERSAMPLE:
+        eps_min = ALIAS_MARGIN * 2.0 / (MAX_OVERSAMPLE * grid.dual_max)
+        raise AliasingError(
+            f"ladder reaches eps={ladder.eps_min:.3g}, below the smallest "
+            f"value {eps_min:.3g} resolvable with oversampling capped at "
+            f"{MAX_OVERSAMPLE}", eps_min_admissible=eps_min)
     return m
 
 

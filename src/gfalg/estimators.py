@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, forward, inverse
+from .distributions import rung_oversample
+from .grids import GridSpec, _phase, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
                    _derivative_symbol, _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence, assoc, resolved_for
@@ -56,17 +57,21 @@ class SeminormLadder:
     alpha_max: int
 
 
-def _box_mask(grid: GridSpec, box) -> np.ndarray:
+def _box_slices(grid: GridSpec, box):
+    """The grid's nodes in the box, one slice per axis: the box is a product
+    of intervals, so its nodes are a block of contiguous indices.  None when
+    the box holds no node of the grid."""
     lo, hi = box
-    pts = grid.points()
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (grid.dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (grid.dim,))
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, p in enumerate(pts):
-        mask &= (p >= lo[ax]) & (p <= hi[ax])
-    if not mask.any():
-        raise ValueError("box contains no grid points")
-    return mask
+    x = grid.axis()
+    block = []
+    for ax in range(grid.dim):
+        inside = np.flatnonzero((x >= lo[ax]) & (x <= hi[ax]))
+        if inside.size == 0:
+            return None
+        block.append(slice(int(inside[0]), int(inside[-1]) + 1))
+    return tuple(block)
 
 
 def _real(a: NetFunction) -> bool:
@@ -115,44 +120,109 @@ def _fold(node_mask: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (full[:, : cols.size] | full[np.ix_(rows, cols)]).ravel()
 
 
-def _derivative_sups(a: NetFunction, box, alpha_max: int,
-                     warn_label: str) -> tuple:
-    """The multi-indices |alpha| <= alpha_max and the table of
-    sup_box |D^alpha f_eps|, one row per alpha and one column per rung.
+def _rung_oversamples(a: NetFunction, box) -> list:
+    """Per rung, the refinement m_j of the base grid on which the rung's
+    derivatives are taken: the alias rule of :func:`rung_oversample` at
+    eps_j, raised until the box holds a node of that grid, and capped at the
+    net's oversample (its fine grid holds a node of the box)."""
+    m_box = 1
+    while _box_slices(a.grid.refine(m_box), box) is None:
+        m_box *= 2
+    return [min(max(rung_oversample(float(eps), a.grid), m_box), a.oversample)
+            for eps in a.ladder.values]
 
-    Each frame is transformed once: one forward, then one inverse per
-    alpha != 0.  Frames are processed one at a time, so no derivative net
-    is ever held whole.
+
+def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
+          half: bool) -> np.ndarray:
+    """The nodes |k| <= n/2 of a spectrum on the fine grid, laid out on the
+    coarse grid of n nodes per axis (both grids share the dual spacing
+    pi/L).  The nodes +-n/2 fall on the coarse Nyquist node, where the
+    derivative symbols are 0."""
+    if coarse.n == fine.n:
+        return fhat
+    h = coarse.n // 2
+    if half:
+        return fhat[: h + 1]
+    keep = np.r_[:h, fine.n - h:fine.n]
+    return fhat[np.ix_(*(keep,) * fine.dim)]
+
+
+def _derivative_symbols(grid: GridSpec, alphas, half: bool,
+                        cut: bool) -> list:
+    """The symbols of D^alpha on the grid.  On a grid ``cut`` from a finer
+    one, each differentiated axis' factor (-xi)^k is 0 at that axis'
+    Nyquist node, onto which the cut folds the two nodes +-pi/dx.  On the
+    half axis the symbol is i^k (-xi)^k, that of the plain derivative
+    f^(k) = i^k D^k f: Hermitian, so f^(k) is real, and |f^(k)| = |D^k f|.
+    """
+    xi = grid.half_dual_axis() if half else grid.dual_axis()
+    symbols = []
+    for alpha in alphas:
+        factors = [(-xi) ** k for k in alpha]
+        for k, factor in zip(alpha, factors):
+            if k and cut:
+                factor[grid.n // 2] = 0.0
+        if half:
+            factors[0] = _I_POWERS[alpha[0] % 4] * factors[0]
+        symbols.append(factors[0] if grid.dim == 1
+                       else np.multiply.outer(*factors))
+    return symbols
+
+
+def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
+                     return_peaks: bool = False) -> tuple:
+    """The multi-indices |alpha| <= alpha_max and the table of
+    sup_box |D^alpha f_eps|, one row per alpha and one column per rung;
+    with ``return_peaks`` also each frame's sup over the whole grid.
+
+    The order-0 row reads the stored frames.  The derivatives of rung j are
+    taken on its own alias-free grid, the base grid refined m_j times (see
+    :func:`_rung_oversamples`): the frame is transformed once on the fine
+    grid, its nodes |k| <= n_j/2 are kept, and each alpha != 0 costs one
+    inverse of size n_j, whose sup is read at that grid's box nodes.
+    Frames are processed one at a time, and only the current grid's
+    symbols are held (m_j does not decrease along the ladder).
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
     fine = a.fine_grid
-    mask = _box_mask(fine, box)
+    box_fine = _box_slices(fine, box)
+    if box_fine is None:
+        raise ValueError("box contains no grid points")
     alphas = _multi_indices(a.grid.dim, alpha_max)
     # 2-D symbols are built on the full grid: 2-D frames keep the full
     # transforms here
     half = a.grid.dim == 1 and _real(a)
-    if half:
-        # i^k (-xi)^k is the symbol of the plain derivative f^(k) = i^k D^k f:
-        # Hermitian, so f^(k) is real, and |f^(k)| = |D^k f|
-        xi = fine.half_dual_axis()
-        symbols = [_I_POWERS[k % 4] * (-xi) ** k if k else None
-                   for (k,) in alphas]
-    else:
-        symbols = [_derivative_symbol(fine, alpha) if sum(alpha) else None
-                   for alpha in alphas]
     sups = np.zeros((len(alphas), a.ladder.count))
+    peaks = np.zeros(a.ladder.count)
+    rung_m = _rung_oversamples(a, box) if alpha_max else ()
+    # ``inverse`` keeps a phase table per grid size for the rest of the run;
+    # built amid this call's transients, the new sizes' tables would pin
+    # the top of the heap, so they are built first
+    for m in sorted(set(rung_m)):
+        _phase(a.grid.n * m, a.grid.half_width, 1)
+    coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
-        fhat = None
-        for i, sym in enumerate(symbols):
-            if sym is None:
-                deriv = fr
-            else:
-                if fhat is None:
-                    _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
-                    fhat = forward(fr, fine, half=half)
-                deriv = inverse(fhat * sym, fine, half=half)
-            sups[i, j] = float(np.max(np.abs(deriv)[mask]))
+        if return_peaks:
+            mag = np.abs(fr)
+            peaks[j], sups[0, j] = mag.max(), mag[box_fine].max()
+            del mag  # not held through the rung's transforms
+        else:
+            sups[0, j] = np.abs(fr[box_fine]).max()
+        if not alpha_max:
+            continue
+        if coarse is None or coarse.n != a.grid.n * rung_m[j]:
+            coarse = a.grid.refine(rung_m[j])
+            symbols = _derivative_symbols(coarse, alphas[1:], half,
+                                          cut=coarse.n < fine.n)
+            box_coarse = _box_slices(coarse, box)
+        _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
+        fhat = _band(forward(fr, fine, half=half), fine, coarse, half)
+        for i, sym in enumerate(symbols, start=1):
+            deriv = inverse(fhat * sym, coarse, half=half)
+            sups[i, j] = np.abs(deriv[box_coarse]).max()
+    if return_peaks:
+        return alphas, sups, peaks
     return alphas, sups
 
 
@@ -201,13 +271,13 @@ def classify_net(a: NetFunction, box, mode: str = None,
     """
     mode = mode or a.mode
     seq = _require_sequence(a, seq)
-    alphas, sups = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
-                                    "classify_net")
+    alphas, sups, peaks = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
+                                           "classify_net", return_peaks=True)
     with np.errstate(divide="ignore"):
         log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
                        for h in MODERATION_H_GRID}
     order0 = _graded(alphas[:1], sups[:1], 1.0, seq)
-    sup_scale = max(float(np.max(np.abs(fr))) for fr in a.frames)
+    sup_scale = float(peaks.max())
     return classify_growth(SequenceScale(seq, a.ladder), log_ladders, order0,
                            sup_scale, mode)
 

@@ -92,10 +92,18 @@ class GridSpec:
         return int(j)
 
 
-@lru_cache(maxsize=32)
-def _phases(n: int, half_width: float):
+@lru_cache(maxsize=64)
+def _phase(n: int, half_width: float, sign: int) -> np.ndarray:
+    """e^{sign i L xi} on the n dual nodes: -1 for :func:`forward`, +1 for
+    :func:`inverse`.  The two are cached apart, so a grid size that is only
+    inverted keeps one table."""
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_width / n)
-    return np.exp(-1j * half_width * xi), np.exp(1j * half_width * xi)
+    return np.exp(sign * 1j * half_width * xi)
+
+
+def _phases(n: int, half_width: float):
+    """The forward and the inverse phase tables of an n-point grid."""
+    return _phase(n, half_width, -1), _phase(n, half_width, 1)
 
 
 def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
@@ -103,7 +111,7 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     band-limited periodic data.  With ``half=True`` the samples must be
     real, and fhat is returned on the half spectrum only: the first
     n//2 + 1 nodes of the last axis, shape (n,)*(dim - 1) + (n//2 + 1,)."""
-    ph_fwd, _ = _phases(grid.n, grid.half_width)
+    ph_fwd = _phase(grid.n, grid.half_width, -1)
     # the transform's output is fresh: scale and phase it in place
     if half:
         if np.iscomplexobj(f):
@@ -128,7 +136,7 @@ def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     and the samples are real; the parts of the input that no Hermitian
     spectrum has (the imaginary parts at 0 and at the Nyquist node in 1-D)
     are dropped."""
-    _, ph_inv = _phases(grid.n, grid.half_width)
+    ph_inv = _phase(grid.n, grid.half_width, 1)
     # the product may not overwrite ``fhat``; the transform's output may
     out = fhat * ph_inv[: grid.n // 2 + 1 if half else grid.n]
     if grid.dim == 2:

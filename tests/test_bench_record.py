@@ -72,3 +72,27 @@ def test_first_seed_must_be_a_number(capsys):
                            "--first-seed", "one"])
     assert exc.value.code == 2
     assert "--first-seed" in capsys.readouterr().err
+
+
+def test_pass_count_read_from_the_outcome_line():
+    line = "depth_sweep: 2 passes, 50 operations attempted, 8 failed"
+    assert bench_record.pass_count(line) == 2
+    assert bench_record.pass_count(
+        "catalog_ref: 17 passes, 663 operations attempted, 0 failed") == 17
+    with pytest.raises(ValueError, match="no pass count"):
+        bench_record.pass_count("")
+
+
+def test_median_pass_count_per_side():
+    runs = _runs([2.0, 2.0, 2.0], [1.0, 1.0, 1.0])
+    for r, passes in zip(runs, (1, 2, 2, 2, 1, 3)):
+        r["passes"] = passes
+    out = bench_record.summarize(runs, METRICS)["w"]
+    assert out["passes"] == {"parent": 1, "change": 2}
+    assert type(out["passes"]["parent"]) is int
+
+
+def test_no_pass_count_without_one_on_every_run():
+    runs = _runs([2.0, 2.0], [1.0, 1.0])
+    runs[0]["passes"] = 1
+    assert "passes" not in bench_record.summarize(runs, METRICS)["w"]

@@ -409,3 +409,16 @@ class TestMissingPathMessage:
         err = capsys.readouterr().err
         assert err == ("expectation failed: verdict.absent: expected None, "
                        "missing from the report\n")
+
+
+class TestBoxBetweenBaseNodes:
+    @pytest.mark.parametrize("dist", ("delta", "heaviside"))
+    def test_classified_on_the_refined_nodes(self, tmp_path, dist):
+        # base nodes are 40/4096 = 0.0098 apart and none lies in the box;
+        # the rungs whose alias-free grid is coarser than that take the
+        # derivatives on the grid refined 4 times, which has a node there
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"dist": dist, "box": [0.001, 0.004]}))
+        code, _, rep = run(tmp_path, "classify", "--config", str(cfgp))
+        assert code in (0, 1)
+        assert rep["results"]["verdict"]["classification"] == "moderate"
