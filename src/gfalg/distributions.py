@@ -148,25 +148,66 @@ def _spatial_samples(m: ModelDistribution, grid: GridSpec) -> np.ndarray:
     return q * plateau_window(grid, 0.0, m.window_radius)
 
 
-def _heaviside_frame(psi_eps: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Exact band-limited-plus-ramp antiderivative of the periodized
-    phi_eps: the cumulative of the delta frame with H(0) = 1/2.
-    ``psi_eps`` holds the half axis."""
-    xi = grid.half_dual_axis()
-    coef = np.zeros(xi.size, dtype=complex)
+def _heaviside_frames(psis, xi: np.ndarray, grid: GridSpec):
+    """Exact band-limited-plus-ramp antiderivatives of the periodized
+    phi_eps, one per ``psi_eps`` of ``psis`` on the grid's half axis ``xi``:
+    the cumulatives of the delta frames with H(0) = 1/2.  The xi != 0 mask,
+    the divisor -i xi and the ramp depend only on the grid and are built
+    once."""
     nz = xi != 0
     # antiderivative coefficients: (dA/dx)^ = -i xi A^ must equal psi_eps
-    coef[nz] = psi_eps[nz] / (-1j * xi[nz])
-    osc = inverse(coef, grid, half=True)
+    divisor = -1j * xi[nz]
     # the xi=0 mode of phi_eps has mean psi(0)/(2L); restore it as a ramp
-    return 0.5 + grid.axis() / (2.0 * grid.half_width) + osc
+    ramp = 0.5 + grid.axis() / (2.0 * grid.half_width)
+    for psi_eps in psis:
+        coef = np.zeros(xi.size, dtype=complex)
+        coef[nz] = psi_eps[nz] / divisor
+        yield ramp + inverse(coef, grid, half=True)
+
+
+def _rung_profiles(moll: MollifierNet, ladder: EpsilonLadder,
+                   abs_xi: np.ndarray):
+    """psi(eps_j |xi|) on the nodes ``abs_xi`` of a half axis, rung by rung.
+
+    psi is evaluated once, at eps_min.  A rung with eps_j = 2^p eps_min
+    exactly (every rung of a ladder of ratio 2^-p) reads it strided: node k
+    of the half axis is 2 pi (k/(2L)) in floating point, so scaling k by
+    2^p scales |xi_k| exactly, eps_j |xi_k| and eps_min |xi_(2^p k)| are the
+    same double, and psi is a pure function of its argument.  The strided
+    read covers the first ceil((n/2 + 1)/2^p) nodes; beyond them eps_j |xi|
+    exceeds eps_min |xi| at the last node, and where that reaches
+    ``r_outer`` psi is 0.  Every other rung calls the profile.  The table
+    lives for this call only.
+    """
+    values = ladder.values
+    eps_min = values[-1]
+    psi_min = moll.profile(eps_min * abs_xi)
+    strided = eps_min * abs_xi[-1] >= moll.profile.r_outer
+    for eps in values[:-1]:
+        stride = int(eps / eps_min)
+        if (not strided or stride & (stride - 1)
+                or eps_min * stride != eps):
+            yield moll.profile(eps * abs_xi)
+            continue
+        psi_eps = np.zeros(abs_xi.size)
+        read = psi_min[::stride]
+        psi_eps[: read.size] = read
+        yield psi_eps
+    yield psi_min
 
 
 def regularize(m: ModelDistribution, moll: MollifierNet,
                ladder: EpsilonLadder, grid: GridSpec,
                mode: str = "beurling", weight=None) -> NetFunction:
     """The embedding on the catalog: frames are f * phi_eps, built on an
-    internally refined grid chosen so every psi(eps*xi) is alias-free."""
+    internally refined grid chosen so every psi(eps*xi) is alias-free.
+
+    Real frames are built from the half axis, and what depends only on the
+    grid and the ladder is built once per call: psi at eps_min, which the
+    other rungs of a ladder of ratio 2^-p read strided, bitwise their own
+    evaluation (:func:`_rung_profiles`), and the heaviside kind's divisor
+    and ramp (:func:`_heaviside_frames`).  The complex frames of a table
+    evaluate psi on the full axis per rung."""
     if m.kind == "tensor2d":
         return _regularize_tensor(m, moll, ladder, grid, mode, weight)
     if grid.dim != 1:
@@ -185,15 +226,16 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
     elif m.kind != "heaviside":
         fhat_vals = spectral_data(m)(xi)
 
-    frames = []
-    for eps in ladder.values:
-        psi_eps = moll.profile(eps * abs_xi)
-        if m.kind == "heaviside":
-            frames.append(_heaviside_frame(psi_eps, fine))
-        elif half:
-            frames.append(inverse(fhat_vals * psi_eps, fine, half=True))
-        else:
-            frames.append(_maybe_real(inverse(fhat_vals * psi_eps, fine)))
+    if not half:
+        frames = [_maybe_real(inverse(fhat_vals * moll.profile(eps * abs_xi),
+                                      fine))
+                  for eps in ladder.values]
+    elif m.kind == "heaviside":
+        frames = list(_heaviside_frames(
+            _rung_profiles(moll, ladder, abs_xi), xi, fine))
+    else:
+        frames = [inverse(fhat_vals * psi_eps, fine, half=True)
+                  for psi_eps in _rung_profiles(moll, ladder, abs_xi)]
     return NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),
                        mode=mode, weight=weight, oversample=over)
 

@@ -169,6 +169,31 @@ def _derivative_symbols(grid: GridSpec, alphas, half: bool,
     return symbols
 
 
+def _axis_powers(grid: GridSpec, k_max: int) -> list:
+    """(-xi)^k on the grid's half axis, k = 1..k_max."""
+    xi = grid.half_dual_axis()
+    return [(-xi) ** k for k in range(1, k_max + 1)]
+
+
+def _prefix_symbols(powers: list, alphas, n: int, cut: bool) -> list:
+    """The half-axis symbols of :func:`_derivative_symbols` on the 1-D grid
+    of n nodes, read from ``powers`` (:func:`_axis_powers`) of a grid at
+    least as fine.  Every refinement of a grid shares the dual spacing
+    pi/L, so the first n/2 nodes of the finer half axis are that grid's,
+    bitwise; at its Nyquist node, the last of the n/2 + 1, the finer axis
+    holds +pi/dx, and the cut sets the factor to 0 there as
+    :func:`_derivative_symbols` does."""
+    h = n // 2
+    symbols = []
+    for (k,) in alphas:
+        factor = powers[k - 1][: h + 1]
+        if cut:
+            factor = factor.copy()
+            factor[h] = 0.0
+        symbols.append(_I_POWERS[k % 4] * factor)
+    return symbols
+
+
 def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
                      return_peaks: bool = False) -> tuple:
     """The multi-indices |alpha| <= alpha_max and the table of
@@ -180,8 +205,13 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
     :func:`_rung_oversamples`): the frame is transformed once on the fine
     grid, its nodes |k| <= n_j/2 are kept, and each alpha != 0 costs one
     inverse of size n_j, whose sup is read at that grid's box nodes.
-    Frames are processed one at a time, and only the current grid's
-    symbols are held (m_j does not decrease along the ladder).
+    Frames are processed one at a time, and m_j does not decrease along
+    the ladder, so one grid's symbols are held at a time.  On the half
+    axis of a 1-D real net the powers (-xi)^k are built once, on the
+    largest rung grid, and each rung grid's symbols are their prefix (see
+    :func:`_prefix_symbols`), bitwise those :func:`_derivative_symbols`
+    builds there; the powers are dropped once the largest grid's symbols
+    are read from them.  2-D and complex nets build each grid's symbols.
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
@@ -201,6 +231,10 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
     # the top of the heap, so they are built first
     for m in sorted(set(rung_m)):
         _phase(a.grid.n * m, a.grid.half_width, 1)
+    powers = None
+    if half and alpha_max:
+        top = a.grid.refine(max(rung_m))
+        powers = _axis_powers(top, alpha_max)
     coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
         if return_peaks:
@@ -213,8 +247,13 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
             continue
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
             coarse = a.grid.refine(rung_m[j])
-            symbols = _derivative_symbols(coarse, alphas[1:], half,
-                                          cut=coarse.n < fine.n)
+            cut = coarse.n < fine.n
+            if powers is None:
+                symbols = _derivative_symbols(coarse, alphas[1:], half, cut)
+            else:
+                symbols = _prefix_symbols(powers, alphas[1:], coarse.n, cut)
+                if coarse.n == top.n:
+                    powers = None  # no rung grid is larger
             box_coarse = _box_slices(coarse, box)
         _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
         fhat = _band(forward(fr, fine, half=half), fine, coarse, half)
