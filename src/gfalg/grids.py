@@ -8,14 +8,47 @@ The spectrum of real samples is Hermitian, fhat(-xi) = conj fhat(xi), so
 the first n//2 + 1 nodes of its last axis (the half axis in 1-D, the half
 plane in 2-D) determine it: ``half=True`` selects the real-to-complex
 transform pair, which does about half the work.
+
+Importing the module fixes the C heap's thresholds (``_set_heap_policy``),
+so that transform-sized buffers are reused rather than mapped afresh.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_heap_policy() -> bool:
+    """Serve blocks below 32 MiB from the heap and keep up to 64 MiB of
+    free heap top, where the C library has ``mallopt``; returns whether
+    both settings took.
+
+    A depth-10 ladder allocates and frees transform-sized buffers of 1-8 MB
+    many times per operation.  By default glibc maps blocks above a
+    dynamic threshold (128 KiB at start, raised to the largest mapped block
+    freed so far) with mmap and returns a free heap top above twice that,
+    so whether such a buffer is served by fresh, page-faulting memory
+    depends on what the process freed before.  Fixed thresholds make the
+    heap serve and keep them, and freed pages are reused."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+
+
+_set_heap_policy()
 
 
 @dataclass(frozen=True)

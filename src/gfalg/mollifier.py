@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -21,22 +22,22 @@ from .grids import GridSpec, integrate, inverse
 from .weights import WeightSequence, assoc, resolved_for
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
+_GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-# 32768 rows x 96 nodes = 25 MB per block: freeing one lifts glibc's dynamic
-# mmap and heap-trim thresholds above the 4 MB FFT temporaries of a depth-10
-# ladder; with 16384 rows those temporaries page-fault about 2.7x as often
-_BLOCK_ROWS = 32768
+# Panel breakpoints on the distance y in [0, 1] from an end of the bump's
+# support: 20 panels whose widths halve toward 0, then 8 of width 1/16
+_BREAKS = np.concatenate([[0.0], 2.0 ** -np.arange(20.0, 0.0, -1.0),
+                          0.5 + np.arange(1, 9) / 16.0])
 
 
-def _bump_unnormalized(sigma: float, radius: float, v: np.ndarray) -> np.ndarray:
-    """exp(-(1 - u^2)^(-1/(sigma-1))) at u = v/radius, and 0 for |u| >= 1,
-    computed in place in one array."""
-    u = np.asarray(v, dtype=float) / radius
-    np.square(u, out=u)
-    np.subtract(1.0, u, out=u)
-    # |u| >= 1: 1 - u^2 <= 0 becomes +0 (never -0, as x - x is +0), whose
-    # negative power is +inf, and exp(-inf) = 0
-    np.maximum(u, 0.0, out=u)
+def _bump_from_end(sigma: float, y: np.ndarray) -> np.ndarray:
+    """exp(-(1 - s^2)^(-1/(sigma-1))) at s = y - 1, as a function of the
+    distance y in [0, 2] from the left end, computed in one fresh array.
+    1 - s^2 is taken as y (2 - y), which keeps its relative accuracy at
+    both ends; at y = 0 and y = 2 it is +0, whose negative power is +inf,
+    and exp(-inf) = 0."""
+    u = np.subtract(2.0, y)
+    u *= y
     with np.errstate(divide="ignore"):
         np.power(u, -1.0 / (sigma - 1.0), out=u)
     np.negative(u, out=u)
@@ -53,7 +54,8 @@ def gevrey_bump(sigma: float, radius: float, coords: np.ndarray,
     if radius < 4.0 * spacing:
         raise ResolutionError(
             f"bump radius {radius} is below 4 grid spacings ({4.0 * spacing})")
-    out = _bump_unnormalized(sigma, radius, coords)
+    y = np.asarray(coords, dtype=float) / radius + 1.0
+    out = _bump_from_end(sigma, np.clip(y, 0.0, 2.0))
     mass = np.sum(out) * spacing
     if mass <= 0:
         raise ResolutionError("bump mass vanished; refine the grid")
@@ -67,55 +69,70 @@ class PlateauProfile:
     ``|u| <= (r_inner + r_outer)/2`` with a Gevrey bump of radius
     ``(r_outer - r_inner)/2``.
 
-    The cumulative bump is evaluated on demand with Gauss-Legendre
-    quadrature, so the profile keeps the smoothness class of the bump
-    instead of the smoothness of an interpolation table, and the plateau
-    and support cutoff are exact.  Each distinct radius is integrated once,
-    in blocks of bounded size, with a reduction whose rounding depends only
-    on that radius: the value at a point never depends on the other points
-    of the call, nor on the BLAS library or its thread count.
+    In the band, psi(r) is the share of the bump, centred at r, that lies
+    inside the indicator.  Let y be the distance of r from the nearer of
+    ``r_inner`` and ``r_outer``, in units of the bump radius rb, and C(y)
+    the bump's mass over the first y of its support.  Then
+    psi = C(y)/C(2) near ``r_outer`` and 1 - C(y)/C(2) near ``r_inner``;
+    the bump is even, so y never exceeds 1, and the tail near ``r_outer``
+    keeps its relative accuracy.  [0, 1] is cut into 28 panels: 20 whose
+    widths halve toward 0, where the bump is flat to all orders, and 8 of
+    width 1/16.  Construction stores C at every breakpoint, with 96
+    Gauss-Legendre nodes per panel; a radius then costs one 12-node rule
+    from the breakpoint below y.  Nothing is interpolated, so the profile
+    keeps the smoothness class of the bump, and the plateau and support
+    cutoff are exact.  Each distinct radius is evaluated once, by
+    elementwise operations whose rounding depends only on that radius:
+    psi is a pure function of r, and the value at a point never depends on
+    the other points of the call.
     """
 
     sigma: float
     r_inner: float = 1.0
     r_outer: float = 2.0
-    _norm: float = field(repr=False, compare=False, default=0.0)
+    _cumulative: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not 0 < self.r_inner < self.r_outer:
             raise ValueError("need 0 < r_inner < r_outer")
         if self.sigma <= 1.0:
             raise ValueError("profile requires sigma > 1")
-        rb = 0.5 * (self.r_outer - self.r_inner)
-        object.__setattr__(self, "_norm",
-                           float(self._cumulative_raw(np.array([rb]))[0]))
+        lo, hi = _BREAKS[:-1, None], _BREAKS[1:, None]
+        half = 0.5 * (hi - lo)
+        vals = _bump_from_end(self.sigma, lo + half * (_GL_NODES + 1.0))
+        vals *= _GL_WEIGHTS
+        panels = (half * vals).sum(axis=-1).tolist()
+        cumulative = [math.fsum(panels[:p]) for p in range(_BREAKS.size)]
+        object.__setattr__(self, "_cumulative", np.array(cumulative))
 
-    def _cumulative_raw(self, q: np.ndarray) -> np.ndarray:
-        """int_{-rb}^{q} of the unnormalized bump, for each entry of the
-        1-D array q."""
+    def _band(self, radii: np.ndarray) -> np.ndarray:
+        """psi at radii strictly inside the band."""
         rb = 0.5 * (self.r_outer - self.r_inner)
-        half = 0.5 * (np.asarray(q, dtype=float) + rb)
-        out = np.empty_like(half)
-        for start in range(0, half.size, _BLOCK_ROWS):
-            h = half[start:start + _BLOCK_ROWS]
-            vals = _bump_unnormalized(self.sigma, rb,
-                                      h[:, None] * (_GL_NODES + 1.0) - rb)
-            vals *= _GL_WEIGHTS
-            out[start:start + _BLOCK_ROWS] = h * vals.sum(axis=-1)
-        return out
+        outer = self.r_outer - radii
+        inner = radii - self.r_inner
+        y = np.minimum(outer, inner)
+        y /= rb
+        p = np.searchsorted(_BREAKS, y, side="right") - 1
+        lo = _BREAKS[p]
+        half = 0.5 * (y - lo)
+        mass = np.zeros_like(y)
+        for node, weight in zip(_GL12_NODES, _GL12_WEIGHTS):
+            vals = _bump_from_end(self.sigma, half * (node + 1.0) + lo)
+            vals *= weight
+            mass += vals
+        mass *= half
+        mass += self._cumulative[p]
+        # the bump is even: its total mass is twice that of its first half
+        mass /= 2.0 * self._cumulative[-1]
+        return np.where(outer <= inner, mass, 1.0 - mass)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(u, dtype=float))
         out = np.where(r <= self.r_inner, 1.0, 0.0)
         band = (r > self.r_inner) & (r < self.r_outer)
         if band.any():
-            # inside the band the upper limit r + c always reaches rb, so
-            # only the lower cumulative, from r - c > -rb, is needed
-            c = 0.5 * (self.r_inner + self.r_outer)
             radii, where = np.unique(r[band], return_inverse=True)
-            lower = self._cumulative_raw(radii - c)
-            out[band] = np.clip((self._norm - lower) / self._norm,
-                                0.0, 1.0)[where]
+            out[band] = self._band(radii)[where]
         return out
 
 

@@ -1,10 +1,16 @@
-"""Periodic grids and the discrete Fourier pair."""
+"""Periodic grids, the discrete Fourier pair and the heap policy."""
+
+import ctypes
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfalg
 from gfalg.grids import GridSpec, forward, integrate, inverse
 
 
@@ -141,3 +147,49 @@ class TestOneTransformCall:
             <= fwd_bound
         assert np.max(np.abs(inverse(f, g) - self._per_axis(f, g, False))) \
             <= inv_bound
+
+
+_TWO_PIPELINES = """
+import resource, warnings
+from gfalg.distributions import ModelDistribution, regularize
+from gfalg.estimators import classify_net, regularity_test
+from gfalg.grids import GridSpec
+from gfalg.mollifier import build_mollifier
+from gfalg.nets import EpsilonLadder, window_net
+from gfalg.weights import WeightSequence
+
+grid = GridSpec(1, 20.0, 4096)
+moll = build_mollifier(1.5, grid)
+warnings.simplefilter("ignore", RuntimeWarning)
+
+
+def pipeline():
+    net = regularize(ModelDistribution("delta"), moll,
+                     EpsilonLadder(2.0 ** -3, 0.5, 8), grid,
+                     weight=WeightSequence.gevrey(2.0))
+    classify_net(net, (-10.0, 10.0))
+    regularity_test(window_net(net, 0.0, 10.0))
+
+
+pipeline()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+pipeline()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_heap_policy_reuses_transform_buffers():
+    # a fresh interpreter, so that no earlier test's frees have moved
+    # glibc's dynamic thresholds: with the heap serving transform-sized
+    # buffers, a second depth-8 pipeline reuses the pages the first one
+    # faulted in; mapped afresh, they fault again (about 2000 per run)
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    src = os.path.dirname(os.path.dirname(gfalg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", _TWO_PIPELINES], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=300)
+    assert int(run.stdout) < 64

@@ -1,8 +1,10 @@
 """Mollifier construction: plateau spectrum, unit mass, decay, scaling."""
 
 import json
+import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,36 +48,59 @@ class TestProfile:
         assert np.all((0.0 <= v) & (v <= 1.0))
 
 
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(96)
+
+
+def _bump(sigma, y):
+    """The unit Gevrey bump at distance y from the left end of its
+    support [0, 2]."""
+    return np.exp(-(y * (2.0 - y)) ** (-1.0 / (sigma - 1.0)))
+
+
+def _mass(sigma, z):
+    """The bump's mass over [0, z], 0 <= z <= 1, to within an ulp: 96
+    Gauss-Legendre nodes on each of the panels [z/2^(k+1), z/2^k] down to
+    where the bump underflows, every term added with math.fsum."""
+    lowest = 0.5 * 745.0 ** (1.0 - sigma)   # the bump is 0 below it
+    if z <= lowest:
+        return 0.0
+    edges = z * 2.0 ** -np.arange(np.log2(z / lowest) + 2.0)
+    lo, hi = edges[1:, None], edges[:-1, None]
+    half = 0.5 * (hi - lo)
+    terms = half * _WEIGHTS * _bump(sigma, lo + half * (_NODES + 1.0))
+    return math.fsum(terms.ravel().tolist())
+
+
 def _two_branch_profile(p, u):
-    """The profile as first written: the upper minus the lower cumulative
-    of the bump, each behind its own branch, by matrix-vector quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    rb = 0.5 * (p.r_outer - p.r_inner)
-    c = 0.5 * (p.r_inner + p.r_outer)
-
-    def cumulative(q):
-        half = 0.5 * (q + rb)
-        v = (half[:, None] * (nodes + 1.0) - rb) / rb
-        vals = np.zeros_like(v)
-        inside = np.abs(v) < 1.0
-        vals[inside] = np.exp(
-            -(1.0 - v[inside] ** 2) ** (-1.0 / (p.sigma - 1.0)))
-        return half * (vals @ weights)
-
-    norm = cumulative(np.array([rb]))[0]
-    r = np.abs(u)
-    upper = np.where(r + c >= rb, norm, cumulative(np.minimum(r + c, rb)))
-    lower = np.where(r - c <= -rb, 0.0, cumulative(np.maximum(r - c, -rb)))
-    out = np.clip((upper - lower) / norm, 0.0, 1.0)
-    out[r <= p.r_inner] = 1.0
-    out[r >= p.r_outer] = 0.0
-    return out
+    """The exact profile, by two branches: the bump's mass from the nearer
+    end of its support, psi = mass(y)/mass(2) with y = (r_outer - r)/rb
+    for y <= 1 and psi = 1 - mass(2 - y)/mass(2) beyond.  y is taken in
+    exact arithmetic, and its rounding to a double is added back as a
+    first-order term."""
+    rb = (Fraction(p.r_outer) - Fraction(p.r_inner)) / 2
+    norm = 2.0 * _mass(p.sigma, 1.0)
+    out = []
+    for r in np.abs(np.asarray(u, dtype=float)):
+        y = (Fraction(p.r_outer) - Fraction(float(r))) / rb
+        if y >= 2:
+            out.append(1.0)
+            continue
+        if y <= 0:
+            out.append(0.0)
+            continue
+        near = y if y <= 1 else 2 - y
+        z = float(near)
+        rounding = float(near - Fraction(z))
+        mass = math.fsum([_mass(p.sigma, z),
+                          float(_bump(p.sigma, z)) * rounding])
+        out.append(mass / norm if y <= 1 else 1.0 - mass / norm)
+    return np.array(out)
 
 
 class TestProfileEvaluation:
     """psi is a pure function of |u|, evaluated once per distinct radius."""
 
-    PROFILES = [PlateauProfile(s, lo, hi) for s in (1.5, 2.0, 3.0)
+    PROFILES = [PlateauProfile(s, lo, hi) for s in (1.5, 2.0, 3.0, 5.0)
                 for lo, hi in ((1.0, 2.0), (0.25, 3.0))]
 
     @pytest.mark.parametrize("p", PROFILES[:2])
@@ -92,7 +117,7 @@ class TestProfileEvaluation:
             p(doubled), np.concatenate([values, values[::3], values[:500]]))
 
     def test_pure_across_blocks(self):
-        # more distinct band radii than one quadrature block holds
+        # many distinct band radii, in one call and in pieces
         p = PlateauProfile(1.5, 1.0, 2.0)
         u = np.random.default_rng(9).uniform(1.0, 2.0, 70001)
         pieces = np.concatenate([p(u[i:i + 997])
@@ -102,7 +127,18 @@ class TestProfileEvaluation:
     @pytest.mark.parametrize("p", PROFILES)
     def test_matches_the_two_branch_formula(self, p):
         u = np.linspace(0.0, 1.1 * p.r_outer, 4001)
-        assert np.max(np.abs(p(u) - _two_branch_profile(p, u))) <= 1e-15
+        assert np.max(np.abs(p(u) - _two_branch_profile(p, u))) <= 4.5e-16
+
+    @pytest.mark.parametrize("p", PROFILES)
+    def test_tail_keeps_its_relative_accuracy(self, p):
+        # radii approaching r_outer to within 2^-40 of the bump radius
+        rb = 0.5 * (p.r_outer - p.r_inner)
+        near_edge = p.r_outer - rb * 2.0 ** -np.arange(1.0, 40.1, 0.25)
+        u = np.concatenate([np.linspace(p.r_inner, p.r_outer, 401), near_edge])
+        exact = _two_branch_profile(p, u)
+        tail = exact >= 1e-30
+        rel = np.abs(p(u)[tail] - exact[tail]) / exact[tail]
+        assert np.max(rel) <= 1e-10
 
     @pytest.mark.parametrize("p", PROFILES)
     def test_exact_plateau_and_cutoff(self, p):
@@ -113,10 +149,8 @@ class TestProfileEvaluation:
 
     @pytest.mark.parametrize("p", PROFILES)
     def test_non_increasing_across_the_band(self, p):
-        # near r_outer, psi = (norm - lower) / norm cancels to a few ulps
-        # of 1, so a rise below that is round-off, not shape
         v = p(np.linspace(p.r_inner, p.r_outer, 2001))
-        assert np.all(np.diff(v) <= 4 * np.finfo(float).eps)
+        assert np.all(np.diff(v) <= 0)
 
     def test_window_transient_stays_bounded(self):
         # a depth-10 rung's refined grid: 262144 points, 65536 of them in
@@ -129,7 +163,7 @@ class TestProfileEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
+        assert peak < 32e6
 
 
 class TestContract:
