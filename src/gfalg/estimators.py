@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import rung_oversample
-from .grids import GridSpec, _phase, forward, inverse
+from .grids import GridSpec, _axis_powers, _band, _symbol, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _derivative_symbol, _warn_boundary_mass, classify_growth)
+                   _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence, assoc, resolved_for
 
 #: relative magnitude under which transform samples count as noise, not
@@ -33,9 +33,6 @@ PATTERN_GRID = np.array([FORALL_EXTENSION, *KH_GRID])
 
 #: log-residual slack operationalizing "O(...)" along the ladder.
 O_SLACK = 1.0
-
-#: i^k for k mod 4, exact.
-_I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def _multi_indices(dim: int, order_max: int):
@@ -132,68 +129,6 @@ def _rung_oversamples(a: NetFunction, box) -> list:
             for eps in a.ladder.values]
 
 
-def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
-          half: bool) -> np.ndarray:
-    """The nodes |k| <= n/2 of a spectrum on the fine grid, laid out on the
-    coarse grid of n nodes per axis (both grids share the dual spacing
-    pi/L).  The nodes +-n/2 fall on the coarse Nyquist node, where the
-    derivative symbols are 0."""
-    if coarse.n == fine.n:
-        return fhat
-    h = coarse.n // 2
-    if half:
-        return fhat[: h + 1]
-    keep = np.r_[:h, fine.n - h:fine.n]
-    return fhat[np.ix_(*(keep,) * fine.dim)]
-
-
-def _derivative_symbols(grid: GridSpec, alphas, half: bool,
-                        cut: bool) -> list:
-    """The symbols of D^alpha on the grid.  On a grid ``cut`` from a finer
-    one, each differentiated axis' factor (-xi)^k is 0 at that axis'
-    Nyquist node, onto which the cut folds the two nodes +-pi/dx.  On the
-    half axis the symbol is i^k (-xi)^k, that of the plain derivative
-    f^(k) = i^k D^k f: Hermitian, so f^(k) is real, and |f^(k)| = |D^k f|.
-    """
-    xi = grid.half_dual_axis() if half else grid.dual_axis()
-    symbols = []
-    for alpha in alphas:
-        factors = [(-xi) ** k for k in alpha]
-        for k, factor in zip(alpha, factors):
-            if k and cut:
-                factor[grid.n // 2] = 0.0
-        if half:
-            factors[0] = _I_POWERS[alpha[0] % 4] * factors[0]
-        symbols.append(factors[0] if grid.dim == 1
-                       else np.multiply.outer(*factors))
-    return symbols
-
-
-def _axis_powers(grid: GridSpec, k_max: int) -> list:
-    """(-xi)^k on the grid's half axis, k = 1..k_max."""
-    xi = grid.half_dual_axis()
-    return [(-xi) ** k for k in range(1, k_max + 1)]
-
-
-def _prefix_symbols(powers: list, alphas, n: int, cut: bool) -> list:
-    """The half-axis symbols of :func:`_derivative_symbols` on the 1-D grid
-    of n nodes, read from ``powers`` (:func:`_axis_powers`) of a grid at
-    least as fine.  Every refinement of a grid shares the dual spacing
-    pi/L, so the first n/2 nodes of the finer half axis are that grid's,
-    bitwise; at its Nyquist node, the last of the n/2 + 1, the finer axis
-    holds +pi/dx, and the cut sets the factor to 0 there as
-    :func:`_derivative_symbols` does."""
-    h = n // 2
-    symbols = []
-    for (k,) in alphas:
-        factor = powers[k - 1][: h + 1]
-        if cut:
-            factor = factor.copy()
-            factor[h] = 0.0
-        symbols.append(_I_POWERS[k % 4] * factor)
-    return symbols
-
-
 def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
                      return_peaks: bool = False) -> tuple:
     """The multi-indices |alpha| <= alpha_max and the table of
@@ -206,12 +141,10 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
     grid, its nodes |k| <= n_j/2 are kept, and each alpha != 0 costs one
     inverse of size n_j, whose sup is read at that grid's box nodes.
     Frames are processed one at a time, and m_j does not decrease along
-    the ladder, so one grid's symbols are held at a time.  On the half
-    axis of a 1-D real net the powers (-xi)^k are built once, on the
-    largest rung grid, and each rung grid's symbols are their prefix (see
-    :func:`_prefix_symbols`), bitwise those :func:`_derivative_symbols`
-    builds there; the powers are dropped once the largest grid's symbols
-    are read from them.  2-D and complex nets build each grid's symbols.
+    the ladder, so one grid's symbols are held at a time.  The powers
+    (-xi)^k are built once, on the largest rung grid, each rung grid's
+    symbols are read from them (:func:`_symbol`), and the powers are
+    dropped once the largest grid's symbols are read.
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
@@ -225,16 +158,10 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
     half = a.grid.dim == 1 and _real(a)
     sups = np.zeros((len(alphas), a.ladder.count))
     peaks = np.zeros(a.ladder.count)
-    rung_m = _rung_oversamples(a, box) if alpha_max else ()
-    # ``inverse`` keeps a phase table per grid size for the rest of the run;
-    # built amid this call's transients, the new sizes' tables would pin
-    # the top of the heap, so they are built first
-    for m in sorted(set(rung_m)):
-        _phase(a.grid.n * m, a.grid.half_width, 1)
-    powers = None
-    if half and alpha_max:
+    if alpha_max:
+        rung_m = _rung_oversamples(a, box)
         top = a.grid.refine(max(rung_m))
-        powers = _axis_powers(top, alpha_max)
+        powers = _axis_powers(top, alphas[1:], half)
     coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
         if return_peaks:
@@ -248,12 +175,10 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
             coarse = a.grid.refine(rung_m[j])
             cut = coarse.n < fine.n
-            if powers is None:
-                symbols = _derivative_symbols(coarse, alphas[1:], half, cut)
-            else:
-                symbols = _prefix_symbols(powers, alphas[1:], coarse.n, cut)
-                if coarse.n == top.n:
-                    powers = None  # no rung grid is larger
+            symbols = [_symbol(powers, top, coarse, alpha, half, cut)
+                       for alpha in alphas[1:]]
+            if coarse.n == top.n:
+                powers = None  # no rung grid is larger
             box_coarse = _box_slices(coarse, box)
         _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
         fhat = _band(forward(fr, fine, half=half), fine, coarse, half)
@@ -342,19 +267,14 @@ def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
         raise ValueError("samples do not match the grid")
     d = grid.dim
     fhat = forward(f, grid)
-
-    def sup_order(order: int) -> float:
-        best = 0.0
-        for alpha in _multi_indices(d, order):
-            if sum(alpha) != order:
-                continue
-            sym = _derivative_symbol(grid, alpha)
-            best = max(best, float(np.max(np.abs(inverse(fhat * sym, grid)))))
-        return best
-
+    alphas = [alpha for alpha in _multi_indices(d, n) if sum(alpha) in (k, n)]
+    powers = _axis_powers(grid, alphas)
+    sups = {k: 0.0, n: 0.0}
+    for alpha in alphas:
+        deriv = inverse(fhat * _symbol(powers, grid, grid, alpha), grid)
+        sups[sum(alpha)] = max(sups[sum(alpha)], float(np.max(np.abs(deriv))))
     norm0 = float(np.max(np.abs(f)))
-    lhs = sup_order(k)
-    sup_n = sup_order(n)
+    lhs, sup_n = sups[k], sups[n]
     rhs = 2.0 * np.pi * d ** k * norm0 ** (1.0 - k / n) * sup_n ** (k / n)
     ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf)
     return LKReport(lhs=lhs, rhs=rhs, ratio=float(ratio),

@@ -21,6 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
+#: i^k for k mod 4, exact.
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -134,11 +137,6 @@ def _phase(n: int, half_width: float, sign: int) -> np.ndarray:
     return np.exp(sign * 1j * half_width * xi)
 
 
-def _phases(n: int, half_width: float):
-    """The forward and the inverse phase tables of an n-point grid."""
-    return _phase(n, half_width, -1), _phase(n, half_width, 1)
-
-
 def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     """Samples of fhat on the dual grid (fft order), spectrally exact for
     band-limited periodic data.  With ``half=True`` the samples must be
@@ -188,3 +186,57 @@ def integrate(f: np.ndarray, grid: GridSpec) -> float | complex:
     """Periodic trapezoid rule (the plain Riemann sum on a periodic grid)."""
     val = np.sum(f) * grid.spacing**grid.dim
     return float(val.real) if np.isrealobj(f) else complex(val)
+
+
+def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
+          half: bool) -> np.ndarray:
+    """The nodes |k| <= n/2 of a spectrum, or of a dual axis, on the fine
+    grid, laid out on the coarse grid of n nodes per axis (both grids share
+    the dual spacing pi/L).  The nodes +-n/2 fall on the coarse Nyquist
+    node, where the derivative symbols of a cut grid are 0."""
+    if coarse.n == fine.n:
+        return fhat
+    h = coarse.n // 2
+    if half:
+        return fhat[: h + 1]
+    keep = np.r_[:h, fine.n - h:fine.n]
+    return fhat[np.ix_(*(keep,) * fhat.ndim)]
+
+
+def _axis_powers(grid: GridSpec, alphas, half: bool = False) -> dict:
+    """(-xi)^k on the grid's dual axis (its half axis with ``half``), for
+    every order k that an axis of the multi-indices ``alphas`` takes."""
+    orders = set()
+    for alpha in alphas:
+        if len(alpha) != grid.dim or any(k < 0 for k in alpha):
+            raise ValueError("alpha must be a non-negative multi-index of "
+                             "the grid dimension")
+        orders.update(alpha)
+    xi = grid.half_dual_axis() if half else grid.dual_axis()
+    return {k: (-xi) ** k for k in sorted(orders)}
+
+
+def _symbol(powers: dict, top: GridSpec, grid: GridSpec, alpha,
+            half: bool = False, cut: bool = False) -> np.ndarray:
+    """The Fourier symbol (-xi)^alpha of D^alpha = (-i d/dx)^alpha on
+    ``grid``, under the convention fhat(xi) = int f e^{+i x xi} dx, read
+    from the ``powers`` (:func:`_axis_powers`) of a grid ``top`` at least as
+    fine.  Every refinement of a grid shares the dual spacing pi/L, so each
+    axis factor is the band of ``top``'s powers (:func:`_band`), bitwise.
+
+    On a grid ``cut`` from a finer one, each differentiated axis' factor is
+    0 at that axis' Nyquist node, onto which the cut folds the two nodes
+    +-pi/dx; the half axis of ``top`` holds +pi/dx there, so a smaller grid
+    is read from it only cut.  On the half axis the symbol is i^k (-xi)^k,
+    that of the plain derivative f^(k) = i^k D^k f: Hermitian, so f^(k) is
+    real, and |f^(k)| = |D^k f|."""
+    factors = []
+    for k in alpha:
+        factor = _band(powers[k], top, grid, half)
+        if k and cut:
+            factor = factor.copy()
+            factor[grid.n // 2] = 0.0
+        factors.append(factor)
+    if half:
+        factors[0] = _I_POWERS[alpha[0] % 4] * factors[0]
+    return factors[0] if grid.dim == 1 else np.multiply.outer(*factors)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GridMismatchError
-from .grids import GridSpec, forward, inverse
+from .grids import GridSpec, _axis_powers, _symbol, forward, inverse
 from .mollifier import plateau_window
 from .weights import (WeightFunction, WeightSequence, assoc_inverse,
                       resolved_for)
@@ -181,21 +181,6 @@ def scale(a: NetFunction, c) -> NetFunction:
     return replace(a, frames=frames)
 
 
-def _derivative_symbol(grid: GridSpec, alpha) -> np.ndarray:
-    """Fourier symbol of D^alpha = (-i d/dx)^alpha: multiplication by
-    (-xi)^alpha under the convention fhat(xi) = int f e^{+i x xi} dx."""
-    alpha = tuple(int(k) for k in alpha)
-    if len(alpha) != grid.dim or any(k < 0 for k in alpha):
-        raise ValueError("alpha must be a non-negative multi-index of the "
-                         "grid dimension")
-    duals = grid.dual_points()
-    sym = np.ones(grid.shape, dtype=float)
-    for k, xi in zip(alpha, duals):
-        if k:
-            sym = sym * (-xi) ** k
-    return sym
-
-
 def _edge_mass(frame: np.ndarray) -> float:
     """Largest magnitude on the outermost layer of nodes."""
     vals = []
@@ -237,10 +222,12 @@ def spectral_derivative(a: NetFunction, alpha) -> NetFunction:
         if a.grid.dim != 1:
             raise ValueError("scalar alpha is ambiguous on a 2-D grid; "
                              "pass a multi-index")
-        alpha = (int(alpha),)
+        alpha = (alpha,)
+    alpha = tuple(int(k) for k in alpha)
     if all(k == 0 for k in alpha):
         return a
-    sym = _derivative_symbol(a.fine_grid, alpha)
+    fine = a.fine_grid
+    sym = _symbol(_axis_powers(fine, [alpha]), fine, fine, alpha)
     return _apply_symbol(a, sym, "spectral_derivative")
 
 
@@ -282,9 +269,10 @@ class UltradiffOperator:
 
     def symbol(self, grid: GridSpec) -> np.ndarray:
         """P(-xi): the Fourier multiplier of Sum a_alpha D^alpha."""
+        powers = _axis_powers(grid, self.coeffs)
         sym = np.zeros(grid.shape, dtype=complex)
         for alpha, val in self.coeffs.items():
-            sym += val * _derivative_symbol(grid, alpha)
+            sym += val * _symbol(powers, grid, grid, alpha)
         return sym
 
 
@@ -522,35 +510,34 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
 class NumberVerdict:
     """Growth classification of a generalized number on a finite ladder."""
 
+    verdict: str  # moderate | negligible | neither | inconclusive
     mode: str
-    moderate: bool
-    negligible: bool
     kappa: np.ndarray
     nu: np.ndarray
     k_moderate: float
     k_negligible: float
 
     @property
-    def verdict(self) -> str:
-        if self.negligible:
-            return "negligible"
-        if self.moderate:
-            return "moderate"
-        return "neither"
+    def moderate(self) -> bool:
+        return self.verdict in ("moderate", "negligible")
+
+    @property
+    def negligible(self) -> bool:
+        return self.verdict == "negligible"
 
 
 def classify_generalized_number(z: GeneralizedNumber, seq: WeightSequence,
                                 mode: str = "beurling",
                                 reference_scale: float = 1.0) -> NumberVerdict:
-    """Moderate / negligible / neither verdict for a generalized number:
-    the net classifier with |z| itself as the one graded statistic and as
-    the sups of the null test."""
+    """Moderate / negligible / neither / inconclusive verdict for a
+    generalized number: the net classifier with |z| itself as the one
+    graded statistic and as the sups of the null test."""
     mags = np.abs(z.values)
     with np.errstate(divide="ignore"):
         log_abs = np.log(mags)
     v = classify_growth(SequenceScale(seq, z.ladder), {1.0: log_abs}, mags,
                         reference_scale, mode)
-    return NumberVerdict(mode=mode, moderate=v.moderate,
-                         negligible=v.negligible, kappa=v.kappa[1.0],
-                         nu=v.nu, k_moderate=v.fitted["k_at_h=1"],
+    return NumberVerdict(verdict=v.classification, mode=mode,
+                         kappa=v.kappa[1.0], nu=v.nu,
+                         k_moderate=v.fitted["k_at_h=1"],
                          k_negligible=v.fitted["k_negligible"])

@@ -107,8 +107,9 @@ class TestOneTransformCall:
 
     @staticmethod
     def _per_axis(f, g, forward_side):
-        from gfalg.grids import _phases
-        ph_fwd, ph_inv = _phases(g.n, g.half_width)
+        from gfalg.grids import _phase
+        ph_fwd = _phase(g.n, g.half_width, -1)
+        ph_inv = _phase(g.n, g.half_width, 1)
         out = np.asarray(f, dtype=complex)
         for ax in range(g.dim):
             shape = [1] * g.dim

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from gfalg.errors import GridMismatchError, SaturationError
 from gfalg.nets import (EpsilonLadder, GeneralizedNumber, GeneralizedPoint,
-                        UltradiffOperator, apply_ultradiff,
-                        classify_generalized_number, combine, constant_embed,
-                        point_value, scale, spectral_derivative, window_net)
+                        SequenceScale, UltradiffOperator, apply_ultradiff,
+                        classify_generalized_number, classify_growth, combine,
+                        constant_embed, point_value, scale,
+                        spectral_derivative, window_net)
 from gfalg.weights import WeightSequence, assoc, assoc_inverse, resolved_for
 from gfalg.grids import GridSpec
 
@@ -289,6 +290,22 @@ class TestNumberClassification:
         wild = lambda e: np.exp((1.0 / e) ** 0.75)
         v = classify_generalized_number(self._number(ladder, wild), seq)
         assert not v.negligible and not v.moderate
+
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_undecidable_growth_reads_inconclusive(self, ladder, seq, mode):
+        # |z_j| = e^{M(k_j/eps_j)} with k_j jumping between 0 and 1 or 8:
+        # neither bounded by one scale nor clearly growing
+        ks = (0, 1, 0, 1, 0, 8, 0, 8)
+        z = GeneralizedNumber(ladder, np.exp(np.array(
+            [assoc(seq, k / e, on_saturation="clip")
+             for k, e in zip(ks, ladder.values)])))
+        growth = classify_growth(SequenceScale(seq, ladder),
+                                 {1.0: np.log(np.abs(z.values))},
+                                 np.abs(z.values), 1.0, mode)
+        assert growth.classification == "inconclusive"
+        v = classify_generalized_number(z, seq, mode)
+        assert v.verdict == "inconclusive"
+        assert not v.moderate and not v.negligible
 
     def test_zero_is_negligible(self, small_rig):
         _, ladder, seq = small_rig

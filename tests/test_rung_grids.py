@@ -13,9 +13,8 @@ from gfalg import estimators
 from gfalg.distributions import (ModelDistribution, regularize,
                                  required_oversample, rung_oversample)
 from gfalg.estimators import (MODERATION_ALPHA_MAX, _derivative_sups,
-                              _derivative_symbols, _rung_oversamples,
-                              classify_net)
-from gfalg.grids import GridSpec, forward, inverse
+                              _rung_oversamples, classify_net)
+from gfalg.grids import GridSpec, _axis_powers, _symbol, forward, inverse
 from gfalg.nets import EpsilonLadder, constant_embed, window_net
 
 #: tracemalloc peak of classify_net(delta at depth 10, (-10, 10)) before the
@@ -82,7 +81,9 @@ class TestNyquistSymbol:
     def test_zero_at_the_nyquist_node_of_a_cut_grid(self, half, cut):
         g = GridSpec(1, 20.0, 256)
         alphas = [(k,) for k in range(1, 5)]
-        symbols = _derivative_symbols(g, alphas, half, cut)
+        powers = _axis_powers(g, alphas, half)
+        symbols = [_symbol(powers, g, g, alpha, half, cut)
+                   for alpha in alphas]
         xi = g.half_dual_axis() if half else g.dual_axis()
         for (k,), sym in zip(alphas, symbols):
             expected = (1j ** k if half else 1.0) * (-xi) ** k
@@ -93,10 +94,14 @@ class TestNyquistSymbol:
     def test_2d_zero_only_on_a_differentiated_axis(self):
         g = GridSpec(2, 5.0, 256)
         h = g.n // 2
-        (sym,) = _derivative_symbols(g, [(1, 0)], half=False, cut=True)
-        assert np.all(sym[h, :] == 0)
-        xi = g.dual_axis()
-        np.testing.assert_array_equal(sym[:, h], -xi * (xi != xi[h]))
+        for alpha in ((1, 0), (0, 1)):
+            sym = _symbol(_axis_powers(g, [alpha]), g, g, alpha, cut=True)
+            xi = g.dual_axis()
+            # the differentiated axis is 0 at its Nyquist node, the other
+            # axis' Nyquist node keeps its value
+            assert np.all(np.take(sym, h, axis=alpha.index(1)) == 0)
+            np.testing.assert_array_equal(
+                np.take(sym, h, axis=alpha.index(0)), -xi * (xi != xi[h]))
 
     def test_2d_tensor_frames_keep_their_nyquist_row(self, moll, seq):
         # tensor frames live on the base grid, their only grid: no rung's
