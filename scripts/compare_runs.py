@@ -4,7 +4,7 @@
     python3 scripts/compare_runs.py A B
 
 Prints every file that is present in only one root or whose bytes differ.
-For a differing ``report.json`` it also prints each JSON path that differs
+For a differing ``*.json`` file it also prints each JSON path that differs
 (list indices folded into the path of the list) with the largest relative
 difference over its numbers, or ``changed`` when a non-number differs.
 
@@ -91,7 +91,7 @@ def compare(root_a: str, root_b: str) -> list:
         if raw_a == raw_b:
             continue
         lines.append(f"differs: {rel}")
-        if os.path.basename(rel) != "report.json":
+        if not rel.endswith(".json"):
             continue
         try:
             diffs = json_diffs(json.loads(raw_a), json.loads(raw_b))

@@ -4,6 +4,10 @@ The transform convention is fhat(xi) = int f(x) e^{+i x.xi} dx with inverse
 f(x) = (2 pi)^{-d} int fhat(xi) e^{-i x.xi} dxi.  Dual nodes are kept in
 numpy fft (unshifted) order.
 
+The samples start at -L, so the pair carries the phase e^{-i L xi}
+forward and e^{+i L xi} back; on every grid L xi_k = pi k, so both are
+the exact sign (-1)^k.
+
 The spectrum of real samples is Hermitian, fhat(-xi) = conj fhat(xi), so
 the first n//2 + 1 nodes of its last axis (the half axis in 1-D, the half
 plane in 2-D) determine it: ``half=True`` selects the real-to-complex
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -128,13 +131,14 @@ class GridSpec:
         return int(j)
 
 
-@lru_cache(maxsize=64)
-def _phase(n: int, half_width: float, sign: int) -> np.ndarray:
-    """e^{sign i L xi} on the n dual nodes: -1 for :func:`forward`, +1 for
-    :func:`inverse`.  The two are cached apart, so a grid size that is only
-    inverted keeps one table."""
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=2.0 * half_width / n)
-    return np.exp(sign * 1j * half_width * xi)
+def _alternate(a: np.ndarray) -> np.ndarray:
+    """Negate ``a`` in place at the dual indices k in fft order whose sum
+    k_1 + ... + k_d is odd, and return it: the phase (-1)^(k_1 + ... + k_d).
+    The Nyquist index n/2 is even, and the last axis may be a half axis."""
+    odd = (a[1::2],) if a.ndim == 1 else (a[1::2, ::2], a[::2, 1::2])
+    for view in odd:
+        np.negative(view, out=view)
+    return a
 
 
 def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
@@ -142,7 +146,6 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     band-limited periodic data.  With ``half=True`` the samples must be
     real, and fhat is returned on the half spectrum only: the first
     n//2 + 1 nodes of the last axis, shape (n,)*(dim - 1) + (n//2 + 1,)."""
-    ph_fwd = _phase(grid.n, grid.half_width, -1)
     # the transform's output is fresh: scale and phase it in place
     if half:
         if np.iscomplexobj(f):
@@ -155,10 +158,7 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     else:
         out = np.fft.ifftn(f)
         out *= (grid.spacing * grid.n) ** grid.dim
-    if grid.dim == 2:
-        out *= ph_fwd[:, None]
-    out *= ph_fwd[: grid.n // 2 + 1 if half else grid.n]
-    return out
+    return _alternate(out)
 
 
 def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
@@ -167,11 +167,8 @@ def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     and the samples are real; the parts of the input that no Hermitian
     spectrum has (the imaginary parts at 0 and at the Nyquist node in 1-D)
     are dropped."""
-    ph_inv = _phase(grid.n, grid.half_width, 1)
-    # the product may not overwrite ``fhat``; the transform's output may
-    out = fhat * ph_inv[: grid.n // 2 + 1 if half else grid.n]
-    if grid.dim == 2:
-        out *= ph_inv[:, None]
+    # the phase may not overwrite ``fhat``; the transform's output may
+    out = _alternate(np.array(fhat, dtype=complex))
     if half:
         np.conjugate(out, out=out)
         out = np.fft.irfftn(out, s=grid.shape, axes=range(grid.dim))

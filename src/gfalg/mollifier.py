@@ -160,11 +160,8 @@ def build_mollifier(sigma: float, grid: GridSpec) -> MollifierNet:
             "dual spacing too coarse to resolve the transition band [1, 2]")
     profile = PlateauProfile(sigma, 1.0, 2.0)
     psi = profile(grid.dual_radius())
-    phi = inverse(psi, grid)
-    phi_imag = float(np.max(np.abs(phi.imag)))
-    phi = phi.real.copy()
-    if phi_imag > 1e-10 * max(1.0, float(np.max(np.abs(phi)))):
-        raise ResolutionError("mollifier came out non-real; grid too coarse")
+    # psi is real and even on the grid, so phi is real
+    phi = inverse(psi[..., : grid.n // 2 + 1], grid, half=True)
     return MollifierNet(sigma=sigma, grid=grid, profile=profile,
                         psi=psi, phi=phi)
 
@@ -180,8 +177,8 @@ def sample_phi_eps(net: MollifierNet, eps: float) -> np.ndarray:
             f"{grid.dual_max:.6g} at eps={eps:.6g}; minimal admissible "
             f"eps on this grid is {eps_min:.6g}",
             eps_min_admissible=eps_min)
-    psi_eps = net.profile(eps * grid.dual_radius())
-    return inverse(psi_eps, grid).real
+    psi_eps = net.profile(eps * grid.dual_radius()[..., : grid.n // 2 + 1])
+    return inverse(psi_eps, grid, half=True)
 
 
 @dataclass(frozen=True)
@@ -306,7 +303,7 @@ def export_mollifier(net: MollifierNet, out_dir: str) -> dict:
     manifest with shapes, grid parameters, and sha256 digests."""
     os.makedirs(out_dir, exist_ok=True)
     files = {}
-    for name, arr in (("phi", net.phi), ("psi", net.psi.real)):
+    for name, arr in (("phi", net.phi), ("psi", net.psi)):
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         path = os.path.join(out_dir, f"{name}.f64")
         with open(path, "wb") as fh:

@@ -54,3 +54,17 @@ def test_missing_root_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         compare_runs.main([str(tmp_path), str(tmp_path / "absent")])
     assert exc.value.code == 2
+
+
+def test_every_json_file_listed_with_json_paths(tmp_path, capsys):
+    a = _root(tmp_path / "a", REPORT)
+    b = _root(tmp_path / "b", REPORT)
+    (a / "verdicts.json").write_text(json.dumps(
+        {"10/delta/beurling/classify_off_support": "moderate"}))
+    (b / "verdicts.json").write_text(json.dumps(
+        {"10/delta/beurling/classify_off_support": "negligible"}))
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: verdicts.json",
+        "  10/delta/beurling/classify_off_support: changed",
+        "1 files differ"]

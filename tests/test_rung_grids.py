@@ -157,6 +157,16 @@ class TestExactness:
         assert coarse == list(range(7))
         np.testing.assert_allclose(sups[4, coarse], 12.0, rtol=1e-3)
 
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_delta_negligible_off_its_support(self, deep, seq, mode):
+        # on (2, 10) the delta net is the mollifier's tail, which the last
+        # rungs take below 1e-16 of the peak; transform round-off above the
+        # machine floor there would read "moderate"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            verdict = classify_net(deep("delta"), (2.0, 10.0), mode, seq)
+        assert verdict.classification == "negligible"
+
     def test_order_zero_reads_the_stored_frames(self, deep):
         net = window_net(deep("heaviside"), 0.0, 10.0)
         box = (-3.0, 5.0)
@@ -200,7 +210,7 @@ class TestCost:
         net = deep("delta")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            classify_net(net, (-10.0, 10.0))  # fills the phase caches
+            classify_net(net, (-10.0, 10.0))  # first-call allocations stay out
             tracemalloc.start()
             try:
                 classify_net(net, (-10.0, 10.0))
