@@ -6,7 +6,9 @@
 Prints every file that is present in only one root or whose bytes differ.
 For a differing ``*.json`` file it also prints each JSON path that differs
 (list indices folded into the path of the list) with the largest relative
-difference over its numbers, or ``changed`` when a non-number differs.
+and the largest absolute difference over its numbers, or ``changed`` when
+a non-number differs.  The absolute one shows when a number that is zero
+up to round-off makes a large relative move.
 
 Exit status: 0 when the two roots hold the same files with the same bytes,
 1 otherwise, 2 on a usage error.  Standard library only.
@@ -38,26 +40,28 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _rel_diff(a: float, b: float) -> float:
+def _diffs(a: float, b: float) -> tuple:
+    """The relative and the absolute difference of two numbers."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+        return math.inf, math.inf
+    return abs(a - b) / max(abs(a), abs(b)), abs(a - b)
 
 
 def json_diffs(a, b, path: str = "", out: dict = None) -> dict:
-    """JSON path -> largest relative difference (``None`` for a change
-    that is not between two numbers)."""
+    """JSON path -> (largest relative, largest absolute) difference
+    (``None`` for a change that is not between two numbers)."""
     if out is None:
         out = {}
 
     def note(p, d):
         # a change that is not between numbers outranks any number
-        if d is None or out.get(p, 0.0) is None:
+        if d is None or out.get(p, ()) is None:
             out[p] = None
         else:
-            out[p] = max(out.get(p, 0.0), d)
+            rel, abs_ = out.get(p, (0.0, 0.0))
+            out[p] = (max(rel, d[0]), max(abs_, d[1]))
 
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b), key=str):
@@ -72,8 +76,8 @@ def json_diffs(a, b, path: str = "", out: dict = None) -> dict:
         for x, y in zip(a, b):
             json_diffs(x, y, f"{path}[]", out)
     elif _is_number(a) and _is_number(b):
-        d = _rel_diff(float(a), float(b))
-        if d > 0:
+        d = _diffs(float(a), float(b))
+        if d[0] > 0:
             note(path, d)
     elif a != b:
         note(path, None)
@@ -99,8 +103,9 @@ def compare(root_a: str, root_b: str) -> list:
             lines.append(f"  not JSON: {exc}")
             continue
         for p, d in diffs.items():
-            lines.append(f"  {p}: " + ("changed" if d is None
-                                       else f"max rel diff {d:.3g}"))
+            lines.append(f"  {p}: " + (
+                "changed" if d is None
+                else f"max rel diff {d[0]:.3g}, max abs diff {d[1]:.3g}"))
     return lines
 
 

@@ -15,7 +15,8 @@ from .errors import ResolutionError
 from .estimators import (PATTERN_GRID, _fold, _log_transform_sups,
                          _pattern_search, _real, _require_sequence)
 from .grids import GridSpec
-from .nets import NetFunction, window_net
+from .mollifier import PlateauProfile
+from .nets import NetFunction
 from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
@@ -32,6 +33,11 @@ WINDOW_SIGMA = 1.5
 #: frame's sup holds only transform round-off, not data; it is zeroed so
 #: the round-off cannot masquerade as spectral growth.
 WINDOW_NOISE_REL = 1e-10
+
+#: the least side of a window's box, in window diameters.  The box's dual
+#: nodes are 2 pi / side apart; with a side of 2.5 diameters the cone sups
+#: missed the depth-6 delta' wave front at 0 on the reference rig.
+BOX_DIAMETERS = 4
 
 
 @dataclass(frozen=True)
@@ -193,14 +199,56 @@ class WaveFrontReport:
         return buf.getvalue()
 
 
+def _window_box(fine: GridSpec, center, radius: float) -> tuple:
+    """The block of ``fine`` on which a window of ``radius`` at ``center``
+    is transformed: per axis the smallest power-of-two number m >= 256 of
+    nodes spanning at least BOX_DIAMETERS window diameters, or all n nodes
+    if no smaller block does, placed around the centre and clamped inside
+    the grid.  Returns one slice per axis and the box's grid, which keeps
+    the spacing dx.
+
+    A windowed frame is exactly 0 beyond ``radius`` and the box holds that
+    support, so the frame's transform on the box is its transform on
+    ``fine`` at every (n/m)-th dual node, times a unimodular phase (the
+    box's origin is shifted), up to the same Nyquist frequency pi/dx."""
+    dx = fine.spacing
+    m = 256
+    while m < fine.n and m * dx < BOX_DIAMETERS * 2.0 * radius:
+        m *= 2
+    blocks = []
+    for c in center:
+        start = min(max(fine.index_of(c) - m // 2, 0), fine.n - m)
+        blocks.append(slice(start, start + m))
+    return tuple(blocks), GridSpec(fine.dim, 0.5 * m * dx, m)
+
+
+def _distances(axis: np.ndarray, box: tuple, center) -> np.ndarray:
+    """|x - center| at the nodes of ``box``, a block of the grid whose axis
+    is ``axis``: bitwise the distances on the whole grid, read there."""
+    if len(box) == 1:
+        return np.abs(axis[box[0]] - center[0])
+    x, y = np.meshgrid(axis[box[0]], axis[box[1]], indexing="ij")
+    return np.hypot(x - center[0], y - center[1])
+
+
 def wavefront(a: NetFunction, window_centers, window_radius: float,
               cones: ConePartition = None, mode: str = None,
               seq: WeightSequence = None) -> WaveFrontReport:
     """Window-and-test wave front estimate: for each center, localize the
-    net with a plateau window and run the per-cone decay test."""
+    net with a plateau window and run the per-cone decay test.
+
+    Each window is built on its box (:func:`_window_box`): the plateau
+    profile is evaluated at the box's nodes and multiplied into that block
+    of every frame, and the decay test reads the box's spectra.  A windowed
+    frame whose sup falls to WINDOW_NOISE_REL of its parent frame's sup is
+    zeroed."""
     mode = mode or a.mode
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
+    fine = a.fine_grid
+    axis = fine.axis()
+    profile = PlateauProfile(WINDOW_SIGMA, 0.5 * window_radius, window_radius)
+    floors = [WINDOW_NOISE_REL * np.max(np.abs(fr)) for fr in a.frames]
     keys = []
     entries = []
     for center in window_centers:
@@ -209,10 +257,16 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
             raise ValueError(f"window at {center} leaves the grid")
         key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
         keys.append(key)
-        localized = window_net(a, tuple(c_arr), window_radius, WINDOW_SIGMA)
-        for lf, fr in zip(localized.frames, a.frames):
-            if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * np.max(np.abs(fr)):
-                lf[...] = 0  # a fresh product of window_net, never ``fr``
+        box, box_grid = _window_box(fine, c_arr, window_radius)
+        w = profile(_distances(axis, box, c_arr))
+        frames = [fr[box] * w for fr in a.frames]
+        del w  # not held through the noise test and the transforms
+        for lf, floor in zip(frames, floors):
+            if np.max(np.abs(lf)) <= floor:
+                lf[...] = 0
+        localized = NetFunction(ladder=a.ladder, grid=box_grid,
+                                frames=tuple(frames), mode=a.mode,
+                                weight=a.weight)
         entries.extend((key, v) for v in sigma_g(localized, cones, mode, seq))
     return WaveFrontReport(centers=tuple(keys), radius=window_radius,
                            mode=mode, entries=tuple(entries))

@@ -46,7 +46,8 @@ def test_differences_listed_with_json_paths(tmp_path, capsys):
     assert lines[0] == "only in B: classify/delta/extra.csv"
     assert lines[1] == "differs: classify/delta/report.json"
     assert "  results.verdict.classification: changed" in lines
-    assert "  results.verdict.nu[]: max rel diff 0.000999" in lines
+    assert ("  results.verdict.nu[]: max rel diff 0.000999, "
+            "max abs diff 0.004") in lines
     assert lines[-1] == "2 files differ"
 
 
@@ -67,4 +68,19 @@ def test_every_json_file_listed_with_json_paths(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "differs: verdicts.json",
         "  10/delta/beurling/classify_off_support: changed",
+        "1 files differ"]
+
+
+def test_absolute_difference_beside_the_relative_one(tmp_path, capsys):
+    # an order that is 0 up to round-off: a large relative move of a
+    # negligible number
+    report = {"fitted_order": -1.008e-17, "kappa": [1.0, 2.0]}
+    moved = {"fitted_order": -1.161e-17, "kappa": [1.0, 2.0 + 2 ** -51]}
+    a = _root(tmp_path / "a", report)
+    b = _root(tmp_path / "b", moved)
+    assert compare_runs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: classify/delta/report.json",
+        "  fitted_order: max rel diff 0.132, max abs diff 1.53e-18",
+        "  kappa[]: max rel diff 2.22e-16, max abs diff 4.44e-16",
         "1 files differ"]

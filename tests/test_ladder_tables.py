@@ -22,14 +22,23 @@ from gfalg.nets import (EpsilonLadder, UltradiffOperator, constant_embed,
 I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
+def _power(xi, k):
+    """(-xi)^k by the rule of _axis_powers: k products from ones."""
+    power = np.ones_like(xi)
+    for _ in range(k):
+        power = power * -xi
+    return power
+
+
 def _grid_symbol(grid, alpha, half=False, cut=False):
     """The symbol of D^alpha built from the grid's own dual axis: each axis
-    factor (-xi)^k, 0 at the Nyquist node of a differentiated axis of a cut
-    grid, times i^k on the half axis; in 2-D their outer product."""
+    factor (-xi)^k (:func:`_power`), 0 at the Nyquist node of a
+    differentiated axis of a cut grid, times i^k on the half axis; in 2-D
+    their outer product."""
     xi = grid.half_dual_axis() if half else grid.dual_axis()
     factors = []
     for k in alpha:
-        factor = (-xi) ** k
+        factor = _power(xi, k)
         if k and cut:
             factor[grid.n // 2] = 0.0
         factors.append(factor)
@@ -135,7 +144,7 @@ class TestSymbolsFromOnePowersTable:
             expected = np.ones(g.shape)
             for k, xi in zip(alpha, g.dual_points()):
                 if k:
-                    expected = expected * (-xi) ** k
+                    expected = expected * _power(xi, k)
             _assert_bitwise(_symbol(powers, g, g, alpha), expected)
 
     @pytest.mark.parametrize("dim", (1, 2))
@@ -150,7 +159,7 @@ class TestSymbolsFromOnePowersTable:
         xi = g.dual_axis()
         expected = np.zeros(g.shape, dtype=complex)
         for alpha, val in coeffs.items():
-            factors = [(-xi) ** k for k in alpha]
+            factors = [_power(xi, k) for k in alpha]
             expected += val * (factors[0] if dim == 1
                                else np.multiply.outer(*factors))
         op = UltradiffOperator(coeffs, seq, bound_c=1.0, bound_l=1.0)
@@ -161,6 +170,24 @@ class TestSymbolsFromOnePowersTable:
             _axis_powers(GridSpec(2, 5.0, 256), [(1,)])
         with pytest.raises(ValueError):
             _axis_powers(GridSpec(1, 5.0, 256), [(-1,)])
+
+
+class TestPowersByProducts:
+    @pytest.mark.parametrize("g,half", ((GridSpec(1, 20.0, 4096 * 64), True),
+                                        (GridSpec(2, 5.0, 1024), False)))
+    def test_within_k_u_of_pow(self, g, half):
+        # each product rounds once: k - 1 roundings, against pow's one
+        u = np.finfo(float).eps / 2
+        xi = g.half_dual_axis() if half else g.dual_axis()
+        alphas = [(k,) * g.dim for k in range(17)]
+        powers = _axis_powers(g, alphas, half)
+        assert sorted(powers) == list(range(17))
+        for k, power in powers.items():
+            exact = (-xi) ** k
+            assert np.all(np.abs(power - exact) <= k * u * np.abs(exact)), k
+        # up to the square the products are bitwise pow's
+        for k in (0, 1, 2):
+            _assert_bitwise(powers[k], (-xi) ** k)
 
 
 class TestOneTablePerCall:
