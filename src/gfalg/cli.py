@@ -419,7 +419,7 @@ def cmd_impossibility_demo(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "statement": "the pointwise square of the embedded step differs "
                      "from the step by a non-negligible net",
         "values_at_origin": [float(np.real(v)) for v in vals.values],
-        "verdict": {"classification": verdict.verdict,
+        "verdict": {"classification": verdict.classification,
                     "non_negligible": not verdict.negligible},
     }
     csvs = {"values.csv": _trace_csv("value", ladder,

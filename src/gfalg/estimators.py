@@ -12,7 +12,7 @@ from .distributions import rung_oversample
 from .grids import GridSpec, _axis_powers, _band, _symbol, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
                    _warn_boundary_mass, classify_growth)
-from .weights import WeightSequence, assoc, resolved_for
+from .weights import WeightSequence
 
 #: relative magnitude under which transform samples count as noise, not
 #: data, in decay fits.  Set well above fft rounding noise: the spatial
@@ -103,18 +103,6 @@ def _key_radii(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
         return abs_xi[keys]
     lo, hi = np.divmod(keys, m)
     return np.hypot(abs_xi[lo], abs_xi[hi])
-
-
-def _fold(node_mask: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """A mask over the full dual grid folded onto the half spectrum: a node
-    is kept when it or its mirror node (-k mod n on every axis) is."""
-    n = grid.n
-    full = node_mask.reshape(grid.shape)
-    cols = -np.arange(n // 2 + 1) % n
-    if grid.dim == 1:
-        return full[: cols.size] | full[cols]
-    rows = -np.arange(n) % n
-    return (full[:, : cols.size] | full[np.ix_(rows, cols)]).ravel()
 
 
 def _rung_oversamples(a: NetFunction, box) -> list:
@@ -302,34 +290,32 @@ class RegularityVerdict:
         }
 
 
-def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
-                        node_masks):
+def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
+                        node_masks) -> list:
     """For each node mask (None admits every node), each rung j and each
-    h: max over the mask's admissible dual nodes of
+    grade h: max over the mask's admissible dual nodes of
     log|fhat_j(xi)| + M(|xi|/h).  Nodes below the fft noise floor of the
     frame are excluded (they carry rounding noise, not decay data).
 
     Each frame is transformed once, and only its nodes above the
-    ladder-wide floor are kept.  The penalties M(|xi|/h) are evaluated at
-    the radii of kept nodes alone, once per distinct radius.  A mask is
-    read at the nodes some frame keeps (the data nodes), and a mask that
-    agrees there with an earlier one shares that mask's sups.  The masks
-    may be a generator yielding one mask at a time.  Returns the list of
-    per-mask {h: sups} dicts and the resolved sequence.
+    ladder-wide floor are kept.  The penalties M(|xi|/h) come from the
+    scale (:meth:`SequenceScale.penalties`), evaluated at the radii of kept
+    nodes alone, once per distinct radius.  A mask is read at the nodes
+    some frame keeps (the data nodes), and a mask that agrees there with
+    an earlier one shares that mask's sups.  The masks may be a generator
+    yielding one mask at a time.  Returns the list of per-mask {h: sups}
+    dicts.
 
-    Real frames are transformed on the half spectrum.  There |fhat| and
-    M(|xi|/h) are even, so a mask over the full dual grid is folded onto
-    the half spectrum (see :func:`_fold`); a mask of the half spectrum's
-    size is taken as already folded.
+    Real frames are transformed on the half spectrum, where |fhat| and
+    M(|xi|/h) are even; a mask is given in the layout of the frames'
+    spectrum, over the half spectrum for real frames (see
+    ``microlocal._cone_masks``).
     """
     fine = a.fine_grid
     half = _real(a)
     width = fine.n // 2 + 1 if half else fine.n
     n_keys = (fine.n // 2 + 1) ** fine.dim
-    h_values = np.asarray(h_values, dtype=float)
-    # the last radius key is the Nyquist corner, the largest radius
-    r_max = float(_key_radii(fine, np.array([n_keys - 1]))[0])
-    seq = resolved_for(seq, r_max / float(h_values.min()))
+    grades = np.asarray(grades, dtype=float)
     # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
     # that floor is at most the ladder-wide one, so no node is lost, and no
     # full-size |fhat_j| outlives its transform
@@ -355,8 +341,8 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
         used[keys] = True
         frames[j] = (nodes, np.log(vals[above]), keys)
     # M(|xi|/h) depends on |xi| alone: evaluate it once per radius key in use
-    radii = _key_radii(fine, np.flatnonzero(used))
-    penalties = [assoc(seq, radii / h) for h in h_values]
+    penalties = scale.penalties(_key_radii(fine, np.flatnonzero(used)),
+                                grades)
     # per frame and kept node: the index of its radius key among those in use
     rank = np.cumsum(used) - 1
     for j, (nodes, log_f, keys) in enumerate(frames):
@@ -367,15 +353,13 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
     for node_mask in node_masks:
         inside = None
         if node_mask is not None:
-            if half and node_mask.size == fine.n ** fine.dim:
-                node_mask = _fold(node_mask, fine)
             inside = node_mask[data]
             shared = next((res for earlier, res in seen
                            if np.array_equal(earlier, inside)), None)
             if shared is not None:
                 results.append(shared)
                 continue
-        sups = np.full((len(h_values), a.ladder.count), -np.inf)
+        sups = np.full((len(grades), a.ladder.count), -np.inf)
         for j, (nodes, log_f, pen_at) in enumerate(frames):
             if node_mask is not None:
                 sel = node_mask[nodes]
@@ -384,10 +368,10 @@ def _log_transform_sups(a: NetFunction, h_values, seq: WeightSequence,
                 continue
             for i, pen in enumerate(penalties):
                 sups[i, j] = np.max(log_f + pen[pen_at])
-        results.append({float(h): row for h, row in zip(h_values, sups)})
+        results.append({float(h): row for h, row in zip(grades, sups)})
         if inside is not None:
             seen.append((inside, results[-1]))
-    return results, seq
+    return results
 
 
 def _bounded_residual(r: np.ndarray) -> bool:
@@ -404,8 +388,7 @@ def _bounded_residual(r: np.ndarray) -> bool:
                 and rf[-1] <= np.min(rf) + O_SLACK)
 
 
-def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
-                    mode: str):
+def _pattern_search(sups_by_h, scale: SequenceScale, mode: str):
     """Search for the mode's quantifier pattern.
 
     Beurling: exists k such that for every h the residual sequence
@@ -415,12 +398,10 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     """
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
-    eps = a.ladder.values
-    seq = resolved_for(seq, float(KH_GRID.max()) / float(eps.min()))
-    scale = {float(k): assoc(seq, k / eps) for k in PATTERN_GRID}
+    growth = scale.growth(PATTERN_GRID)
 
     def bounded(h: float, k: float) -> bool:
-        return _bounded_residual(sups_by_h[float(h)] - scale[float(k)])
+        return _bounded_residual(sups_by_h[float(h)] - growth[float(k)])
 
     # the witness searched for is k in Beurling mode and h in Roumieu mode;
     # the other one runs over the 'for all' leg
@@ -436,7 +417,7 @@ def _pattern_search(a: NetFunction, sups_by_h, seq: WeightSequence,
     residuals = {}
     for every in PATTERN_GRID:
         h, k = h_and_k(found, every)
-        residuals[f"h={h:g},k={k:g}"] = sups_by_h[float(h)] - scale[float(k)]
+        residuals[f"h={h:g},k={k:g}"] = sups_by_h[float(h)] - growth[float(k)]
     return "not_regular", {f"{witness}_tried_max": found}, residuals
 
 
@@ -446,8 +427,8 @@ def regularity_test(a: NetFunction, mode: str = None,
     does |fhat_eps(xi)| e^{M(|xi|/h)} stay O(e^{M(k/eps)}) in the mode's
     quantifier pattern over the (k, h) grid?"""
     mode = mode or a.mode
-    seq = _require_sequence(a, seq)
-    (sups,), seq_big = _log_transform_sups(a, PATTERN_GRID, seq, [None])
-    verdict, witness, residuals = _pattern_search(a, sups, seq_big, mode)
+    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
+    (sups,) = _log_transform_sups(a, PATTERN_GRID, scale, [None])
+    verdict, witness, residuals = _pattern_search(sups, scale, mode)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

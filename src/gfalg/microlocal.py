@@ -12,11 +12,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResolutionError
-from .estimators import (PATTERN_GRID, _fold, _log_transform_sups,
-                         _pattern_search, _real, _require_sequence)
+from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
+                         _real, _require_sequence)
 from .grids import GridSpec
 from .mollifier import PlateauProfile
-from .nets import NetFunction
+from .nets import NetFunction, SequenceScale, _window_center
 from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
@@ -112,11 +112,23 @@ class ConeVerdict:
                 "witness": {k: float(v) for k, v in self.witness.items()}}
 
 
+def _fold(node_mask: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """A mask over the full dual grid folded onto the half spectrum: a node
+    is kept when it or its mirror node (-k mod n on every axis) is."""
+    n = grid.n
+    full = node_mask.reshape(grid.shape)
+    cols = -np.arange(n // 2 + 1) % n
+    if grid.dim == 1:
+        return full[: cols.size] | full[cols]
+    rows = -np.arange(n) % n
+    return (full[:, : cols.size] | full[np.ix_(rows, cols)]).ravel()
+
+
 @lru_cache(maxsize=4)
 def _cone_masks(cones: ConePartition, fine: GridSpec, half: bool) -> tuple:
     """One flat dual-node mask per cone, without the core |xi| <
     LOW_FREQUENCY_CUTOFF.  With ``half`` each mask is folded onto the half
-    spectrum that real frames take (see ``estimators._fold``).  The masks
+    spectrum that real frames take (see :func:`_fold`).  The masks
     depend on the grid and the cones alone, so every window and net on the
     grid shares them.  A cone of fewer than MIN_CONE_NODES nodes of the
     full grid raises ResolutionError."""
@@ -143,16 +155,16 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     cone is regular when the mode's (k, h) quantifier pattern bounds the
     cone-restricted weighted transform sup along the ladder."""
     mode = mode or a.mode
-    seq = _require_sequence(a, seq)
+    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
         raise ValueError("cone partition dimension mismatch")
     masks = _cone_masks(cones, a.fine_grid, _real(a))
-    per_cone, seq_big = _log_transform_sups(a, PATTERN_GRID, seq, masks)
+    per_cone = _log_transform_sups(a, PATTERN_GRID, scale, masks)
     out = []
     for cone, sups in zip(cones.cones, per_cone):
-        verdict, witness, _ = _pattern_search(a, sups, seq_big, mode)
+        verdict, witness, _ = _pattern_search(sups, scale, mode)
         out.append(ConeVerdict(
             cone=cone, witness=witness,
             verdict="regular" if verdict == "regular" else "singular"))
@@ -252,9 +264,7 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
     keys = []
     entries = []
     for center in window_centers:
-        c_arr = np.atleast_1d(np.asarray(center, dtype=float))
-        if np.any(np.abs(c_arr) + window_radius > a.grid.half_width):
-            raise ValueError(f"window at {center} leaves the grid")
+        c_arr = _window_center(a.grid, center, window_radius)
         key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
         keys.append(key)
         box, box_grid = _window_box(fine, c_arr, window_radius)

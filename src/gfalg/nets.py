@@ -17,7 +17,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .grids import GridSpec, _axis_powers, _symbol, forward, inverse
 from .mollifier import plateau_window
-from .weights import (WeightFunction, WeightSequence, assoc_inverse,
+from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
                       resolved_for)
 
 #: |z| below this multiple of the ambient scale is treated as an exact zero
@@ -282,11 +282,22 @@ def apply_ultradiff(op: UltradiffOperator, a: NetFunction) -> NetFunction:
     return _apply_symbol(a, sym, "apply_ultradiff")
 
 
+def _window_center(grid: GridSpec, center, radius: float) -> np.ndarray:
+    """The centre of a window of ``radius`` as an array, once the window is
+    checked to stay inside the grid: |c| + radius <= L on every axis."""
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    if np.any(np.abs(c) + radius > grid.half_width):
+        raise ValueError(f"window at {center} leaves the grid")
+    return c
+
+
 def window_net(a: NetFunction, center, radius: float,
                sigma: float = 2.0) -> NetFunction:
     """Multiply every frame by a plateau window (1 within radius/2 of the
     center, 0 beyond radius), making the net edge-negligible before
-    spectral operations."""
+    spectral operations.  A window that leaves the grid is refused: the
+    periodic seam would cut it."""
+    _window_center(a.grid, center, radius)
     w = plateau_window(a.fine_grid, center, radius, sigma)
     frames = tuple(fr * w for fr in a.frames)
     return replace(a, frames=frames)
@@ -357,11 +368,15 @@ def _tends_to_infinity(trace: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SequenceScale:
-    """The scales e^{M(k/eps)} of a weight sequence (Komatsu).
+    """The scales e^{M(k/eps)} and the decay weights e^{M(|xi|/h)} of a
+    weight sequence (Komatsu).
 
     The rate of |z_j| is kappa_j = eps_j * M^{-1}(log^+|z_j|), the k with
     |z_j| = e^{M(k/eps_j)}; nu_j does the same for decay.  Roumieu
-    moderation asks some h for kappa -> 0.
+    moderation asks some h for kappa -> 0.  Each read of M resolves the
+    table for the largest argument it reads (see ``weights.resolved_for``);
+    Gevrey tables share their prefix, so any deep enough table gives the
+    same M(t).
     """
 
     seq: WeightSequence
@@ -384,6 +399,20 @@ class SequenceScale:
 
     def nu(self, log_abs: np.ndarray) -> np.ndarray:
         return self._rate(np.maximum(-log_abs, 0.0))
+
+    def growth(self, ks) -> dict:
+        """M(k/eps_j) along the ladder for each k, keyed by k."""
+        eps = self.ladder.values
+        seq = resolved_for(self.seq, float(np.max(ks)) / float(eps.min()))
+        return {float(k): assoc(seq, k / eps) for k in ks}
+
+    def penalties(self, radii: np.ndarray, grades) -> list:
+        """M(|xi|/h) at the dual radii ``radii``, one array per h of
+        ``grades``."""
+        grades = np.asarray(grades, dtype=float)
+        seq = resolved_for(self.seq, float(np.max(radii, initial=0.0))
+                           / float(grades.min()))
+        return [assoc(seq, radii / h) for h in grades]
 
 
 @dataclass(frozen=True)
@@ -506,38 +535,15 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
                          kappa=kappas, nu=nu, log_ladders=log_ladders)
 
 
-@dataclass(frozen=True)
-class NumberVerdict:
-    """Growth classification of a generalized number on a finite ladder."""
-
-    verdict: str  # moderate | negligible | neither | inconclusive
-    mode: str
-    kappa: np.ndarray
-    nu: np.ndarray
-    k_moderate: float
-    k_negligible: float
-
-    @property
-    def moderate(self) -> bool:
-        return self.verdict in ("moderate", "negligible")
-
-    @property
-    def negligible(self) -> bool:
-        return self.verdict == "negligible"
-
-
 def classify_generalized_number(z: GeneralizedNumber, seq: WeightSequence,
                                 mode: str = "beurling",
-                                reference_scale: float = 1.0) -> NumberVerdict:
+                                reference_scale: float = 1.0
+                                ) -> GrowthVerdict:
     """Moderate / negligible / neither / inconclusive verdict for a
     generalized number: the net classifier with |z| itself as the one
-    graded statistic and as the sups of the null test."""
+    graded statistic (grade h = 1) and as the sups of the null test."""
     mags = np.abs(z.values)
     with np.errstate(divide="ignore"):
         log_abs = np.log(mags)
-    v = classify_growth(SequenceScale(seq, z.ladder), {1.0: log_abs}, mags,
-                        reference_scale, mode)
-    return NumberVerdict(verdict=v.classification, mode=mode,
-                         kappa=v.kappa[1.0], nu=v.nu,
-                         k_moderate=v.fitted["k_at_h=1"],
-                         k_negligible=v.fitted["k_negligible"])
+    return classify_growth(SequenceScale(seq, z.ladder), {1.0: log_abs},
+                           mags, reference_scale, mode)

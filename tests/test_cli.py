@@ -422,3 +422,38 @@ class TestBoxBetweenBaseNodes:
         code, _, rep = run(tmp_path, "classify", "--config", str(cfgp))
         assert code in (0, 1)
         assert rep["results"]["verdict"]["classification"] == "moderate"
+
+
+class TestWindowLeavesTheGrid:
+    @pytest.mark.parametrize("command,weight", [
+        ("regularity", "gevrey:2"), ("bb-classify", "omega:log1p"),
+        ("crosscheck", "gevrey:2")])
+    def test_precondition_error_names_the_window(self, tmp_path, capsys,
+                                                 command, weight):
+        # |15| + 10 passes the half-width 20: the window would be cut at
+        # the periodic seam
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "dist": "gaussian", "weight": weight, "grid_n": 256,
+            "ladder_count": 6, "window_center": 15.0,
+            "window_radius": 10.0}))
+        code, out, _ = run(tmp_path, command, "--config", str(cfgp))
+        assert code == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err == (
+            "error: ValueError: window at 15.0 leaves the grid\n")
+
+    def test_default_window_and_one_reaching_the_edge(self, tmp_path):
+        code, _, rep = run(tmp_path, "regularity", "--dist", "gaussian",
+                           "--grid", "256,20", "--ladder", "0.125,0.5,6",
+                           name="default")
+        assert code == 0
+        assert rep["results"]["window"] == {"center": 0.0, "radius": 10.0}
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "dist": "gaussian", "grid_n": 256, "ladder_count": 6,
+            "window_center": 10.0, "window_radius": 10.0}))
+        code, _, rep = run(tmp_path, "regularity", "--config", str(cfgp),
+                           name="edge")
+        assert code == 0
+        assert rep["results"]["window"] == {"center": 10.0, "radius": 10.0}

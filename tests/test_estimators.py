@@ -191,6 +191,14 @@ class TestRegularity:
         with pytest.raises(ValueError):
             regularity_test(catalog("gaussian"), mode="borel")
 
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_zero_net_regular(self, catalog, mode):
+        # no spectral node carries data, so no radius is read and there is
+        # nothing to bound
+        net = combine(catalog("gaussian"), catalog("gaussian"), "sub")
+        v = regularity_test(net, mode=mode)
+        assert v.verdict == "regular"
+
 
 class TestBoundedResidual:
     """The one O(1) rule on log-residuals, shared by the regularity and cone

@@ -14,8 +14,8 @@ from gfalg.estimators import (PATTERN_GRID, SPECTRAL_FLOOR,
 from gfalg.grids import GridSpec, forward, inverse
 from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, MIN_CONE_NODES,
                               WINDOW_SIGMA, Cone, ConePartition, _cone_masks,
-                              sigma_g, wavefront)
-from gfalg.nets import EpsilonLadder, window_net
+                              _fold, sigma_g, wavefront)
+from gfalg.nets import EpsilonLadder, SequenceScale, window_net
 from gfalg.weights import assoc, resolved_for
 
 U = np.finfo(float).eps / 2  # unit round-off
@@ -175,15 +175,16 @@ class TestHalfPlaneMasks:
         net = window_net(rig_nets[("delta", "gaussian")], (0.0, 0.0),
                          RIG_RADIUS, WINDOW_SIGMA)
         masks = _cone_masks(RIG_CONES, RIG_GRID, True)
-        sups, _ = _log_transform_sups(net, PATTERN_GRID, seq, masks)
+        scale = SequenceScale(seq, net.ladder)
+        sups = _log_transform_sups(net, PATTERN_GRID, scale, masks)
         # no node on the Nyquist lines carries data here
         for i in range(4):
             assert sups[i] is sups[i + 4]
             assert sups[i] is not sups[(i + 1) % 4]
         # a mask read by itself gives the sups it shares
         for i in range(8):
-            alone, _ = _log_transform_sups(net, PATTERN_GRID, seq,
-                                           [masks[i]])
+            alone = _log_transform_sups(net, PATTERN_GRID, scale,
+                                        [masks[i]])
             assert_sups_equal(alone, [sups[i]])
 
     def test_cone_size_counted_on_the_full_grid(self):
@@ -236,12 +237,12 @@ class TestSigmaGMatchesTheFullPath:
         net = window_net(rig_nets[factors], (0.0, 0.0), RIG_RADIUS,
                          WINDOW_SIGMA)
         fine = net.fine_grid
-        half, seq_h = _log_transform_sups(
-            net, PATTERN_GRID, seq, _cone_masks(RIG_CONES, fine, True))
-        full, seq_f = _log_transform_sups(
-            as_complex(net), PATTERN_GRID, seq,
+        scale = SequenceScale(seq, net.ladder)
+        half = _log_transform_sups(
+            net, PATTERN_GRID, scale, _cone_masks(RIG_CONES, fine, True))
+        full = _log_transform_sups(
+            as_complex(net), PATTERN_GRID, scale,
             _cone_masks(RIG_CONES, fine, False))
-        assert seq_h.p_max == seq_f.p_max
         l1 = max(float(np.sum(np.abs(fr))) for fr in net.frames) * \
             fine.spacing ** 2
         top = max(float(np.max(np.abs(forward(fr, fine, half=True))))
@@ -289,9 +290,10 @@ class TestCompactedSupsAreBitwiseTheAllNodeSups:
         assert base.ladder.count == depth
         net = window_net(base, center, radius, WINDOW_SIGMA)
         masks = self.masks_1d(net.fine_grid)
-        got, seq_got = _log_transform_sups(net, PATTERN_GRID, seq, masks)
-        expected, seq_exp = reference_sups(net, PATTERN_GRID, seq, masks)
-        assert seq_got.p_max == seq_exp.p_max
+        folded = [None] + [_fold(m, net.fine_grid) for m in masks[1:]]
+        got = _log_transform_sups(net, PATTERN_GRID,
+                                  SequenceScale(seq, net.ladder), folded)
+        expected, _ = reference_sups(net, PATTERN_GRID, seq, masks)
         assert_sups_equal(got, expected)
 
     @pytest.mark.parametrize("factors", TENSORS)
@@ -307,8 +309,11 @@ class TestCompactedSupsAreBitwiseTheAllNodeSups:
         full_masks = [full_grid_mask(c, g).ravel() for c in part.cones]
         expected, _ = reference_sups(net, PATTERN_GRID, seq,
                                      [None, *full_masks])
-        # masks over the full grid are folded; half-plane masks are not
-        for masks in (full_masks, _cone_masks(part, g, True)):
-            got, _ = _log_transform_sups(net, PATTERN_GRID, seq,
-                                         [None, *masks])
+        # masks over the full grid folded onto the half plane, and the
+        # half-plane cone masks
+        scale = SequenceScale(seq, net.ladder)
+        for masks in ([_fold(m, g) for m in full_masks],
+                      _cone_masks(part, g, True)):
+            got = _log_transform_sups(net, PATTERN_GRID, scale,
+                                      [None, *masks])
             assert_sups_equal(got, expected)

@@ -14,8 +14,8 @@ from gfalg.estimators import (MODERATION_ALPHA_MAX, PATTERN_GRID,
                               regularity_test)
 from gfalg.grids import GridSpec, forward, inverse
 from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, WINDOW_SIGMA,
-                              ConePartition, sigma_g)
-from gfalg.nets import EpsilonLadder, window_net
+                              ConePartition, _fold, sigma_g)
+from gfalg.nets import EpsilonLadder, SequenceScale, window_net
 
 U = np.finfo(float).eps / 2  # unit round-off
 
@@ -149,11 +149,14 @@ class TestEstimatorsMatchTheFullPath:
         masks = [None] + [(np.sign(xi) == s) & (np.abs(xi)
                                                 >= LOW_FREQUENCY_CUTOFF)
                           for s in (1.0, -1.0)]
-        half, seq_h = _log_transform_sups(net, PATTERN_GRID, seq, masks)
-        full, seq_f = _log_transform_sups(as_complex(net), PATTERN_GRID, seq,
-                                          masks)
-        assert seq_h.p_max == seq_f.p_max
         fine = net.fine_grid
+        scale = SequenceScale(seq, net.ladder)
+        # the real net's spectrum is the half axis: its masks are folded
+        half = _log_transform_sups(net, PATTERN_GRID, scale,
+                                   [None] + [_fold(m, fine)
+                                             for m in masks[1:]])
+        full = _log_transform_sups(as_complex(net), PATTERN_GRID, scale,
+                                   masks)
         l1 = max(float(np.sum(np.abs(fr))) for fr in net.frames) * fine.spacing
         top = max(float(np.max(np.abs(forward(fr, fine, half=True))))
                   for fr in net.frames)

@@ -121,6 +121,17 @@ class TestWaveFront1D:
         with pytest.raises(ValueError):
             wavefront(catalog("delta"), (19.0,), 2.0, mode="beurling")
 
+    @pytest.mark.parametrize("center", (15.0, -15.0, (15.0,)))
+    def test_window_net_shares_the_check(self, catalog, center):
+        # |c| + r = 25 passes the half-width 20: the window would be cut at
+        # the periodic seam, so window_net refuses it as wavefront does
+        with pytest.raises(ValueError,
+                           match=r"window at .* leaves the grid"):
+            window_net(catalog("gaussian"), center, 10.0)
+        with pytest.raises(ValueError,
+                           match=r"window at .* leaves the grid"):
+            wavefront(catalog("gaussian"), (center,), 10.0)
+
 
 class TestStability:
     def test_derivative_preserves_wavefront(self, catalog, seq):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfalg.errors import GridMismatchError, SaturationError
+from gfalg.estimators import KH_GRID, PATTERN_GRID, regularity_test
 from gfalg.nets import (EpsilonLadder, GeneralizedNumber, GeneralizedPoint,
                         SequenceScale, UltradiffOperator, apply_ultradiff,
                         classify_generalized_number, classify_growth, combine,
@@ -251,14 +252,14 @@ class TestNumberClassification:
         _, ladder, seq = small_rig
         v = classify_generalized_number(self._number(ladder, lambda e: 3.0),
                                         seq)
-        assert v.verdict == "moderate"
+        assert v.classification == "moderate"
 
     def test_scale_growth_moderate(self, small_rig):
         _, ladder, seq = small_rig
         grow = lambda e: np.exp(assoc(seq, 1.0 / e, on_saturation="clip"))
         v = classify_generalized_number(self._number(ladder, grow), seq)
         assert v.moderate and not v.negligible
-        assert v.k_moderate == pytest.approx(1.0, rel=0.2)
+        assert v.fitted["k_at_h=1"] == pytest.approx(1.0, rel=0.2)
 
     def test_scale_decay_negligible_roumieu_only(self, small_rig):
         # exp(-M(1/eps)) sits exactly on the k=1 decay scale: enough for
@@ -308,7 +309,7 @@ class TestNumberClassification:
                                  np.abs(z.values), 1.0, mode)
         assert growth.classification == "inconclusive"
         v = classify_generalized_number(z, seq, mode)
-        assert v.verdict == "inconclusive"
+        assert v.classification == "inconclusive"
         assert not v.moderate and not v.negligible
 
     def test_zero_is_negligible(self, small_rig):
@@ -334,8 +335,8 @@ class TestNumberClassification:
         monkeypatch.setattr(WeightSequence, "gevrey", staticmethod(counted))
         v = classify_generalized_number(z, shallow)
         assert len(built) == 1
-        assert v.verdict == "moderate"
-        assert np.allclose(v.kappa, ladder.values * exact, rtol=1e-12)
+        assert v.classification == "moderate"
+        assert np.allclose(v.kappa[1.0], ladder.values * exact, rtol=1e-12)
         with pytest.raises(SaturationError):
             classify_generalized_number(
                 z, WeightSequence.custom(shallow.log_m))
@@ -355,3 +356,69 @@ class TestWindowing:
         x = grid.axis()
         assert np.all(w.frames[0][np.abs(x) <= 2.5] == 1.0)
         assert np.all(w.frames[0][np.abs(x) >= 5.0] == 0.0)
+
+
+class TestSequenceScaleReads:
+    """``growth`` and ``penalties`` read M on one table each, resolved for
+    the largest argument they read.  Gevrey tables share their prefix, so
+    on the reference rig the reads are bitwise M on the tables resolved for
+    KH_max / eps_min and for the Nyquist corner over the least h."""
+
+    @pytest.mark.parametrize("p_max", (64, 256))
+    def test_growth_bitwise_on_the_kh_max_table(self, ladder, p_max):
+        seq = WeightSequence.gevrey(2.0, p_max)
+        table = resolved_for(seq, float(KH_GRID.max()) / ladder.eps_min)
+        assert (table is not seq) == (p_max == 64)  # 16 / eps_min = 16384
+        got = SequenceScale(seq, ladder).growth(PATTERN_GRID)
+        assert list(got) == [float(k) for k in PATTERN_GRID]
+        for k in PATTERN_GRID:
+            np.testing.assert_array_equal(got[float(k)],
+                                          assoc(table, k / ladder.values))
+
+    @pytest.mark.parametrize("p_max", (64, 256))
+    def test_penalties_bitwise_on_the_nyquist_table(self, catalog, ladder,
+                                                    p_max):
+        seq = WeightSequence.gevrey(2.0, p_max)
+        fine = catalog("delta").fine_grid
+        radii = np.abs(fine.dual_axis()[: fine.n // 2 + 1])
+        table = resolved_for(seq, float(radii.max())
+                             / float(PATTERN_GRID.min()))
+        assert table is not seq
+        scale = SequenceScale(seq, ladder)
+        # every radius of the half axis, and the radii up to 100 alone,
+        # which resolve on a shallower table
+        for read in (radii, radii[radii <= 100.0]):
+            got = scale.penalties(read, PATTERN_GRID)
+            assert len(got) == len(PATTERN_GRID)
+            for h, pen in zip(PATTERN_GRID, got):
+                np.testing.assert_array_equal(pen, assoc(table, read / h))
+
+    def test_custom_table_raises_exactly_past_saturation(self, ladder):
+        custom = WeightSequence.custom(WeightSequence.gevrey(2.0, 64).log_m)
+        scale = SequenceScale(custom, ladder)
+        # the largest radius M(|xi|/h) resolves at the least h
+        edge = custom.t_saturation * float(PATTERN_GRID.min())
+        scale.penalties(np.array([0.0, 1.0, 0.999 * edge]), PATTERN_GRID)
+        with pytest.raises(SaturationError):
+            scale.penalties(np.array([0.0, 1.0, 1.001 * edge]),
+                            PATTERN_GRID)
+        # no radius read, nothing to resolve
+        assert all(p.size == 0 for p in scale.penalties(np.zeros(0),
+                                                        PATTERN_GRID))
+
+    def test_regularity_reads_a_custom_table_up_to_its_radii(self, catalog,
+                                                              seq):
+        # 200 Gevrey-2 entries saturate at t = 40000: past 16 / eps_min and
+        # the gaussian's largest kept radius over h = 1/32 (about 271), short
+        # of the fine grid's Nyquist corner over 1/32 (about 1.6e5), and of
+        # the delta's largest kept radius over 1/32 (about 6.3e4)
+        custom = WeightSequence.custom(WeightSequence.gevrey(2.0, 200).log_m)
+        for mode in ("beurling", "roumieu"):
+            net = window_net(catalog("gaussian"), 0.0, 10.0)
+            got = regularity_test(net, mode, custom)
+            want = regularity_test(net, mode, seq)
+            assert (got.verdict, got.witness) == (want.verdict, want.witness)
+            assert got.verdict == "regular"
+        with pytest.raises(SaturationError):
+            regularity_test(window_net(catalog("delta"), 0.0, 10.0),
+                            "beurling", custom)

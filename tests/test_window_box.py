@@ -177,3 +177,17 @@ class TestDualDensity:
         net = depth_net("delta_prime", 6)
         rep = wavefront(net, CENTERS, RADIUS, mode="beurling")
         assert rep.flagged_centers() == (0.0,)
+
+
+class TestWindowNoiseFloor:
+    @pytest.mark.parametrize("depth", (8, 10))
+    @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
+    def test_delta_prime_windows_off_its_support_flag_nothing(
+            self, depth_net, depth, mode):
+        # off the support {0} a windowed delta' frame holds only the
+        # transform round-off of its parent frame; zeroed at
+        # WINDOW_NOISE_REL, it cannot read as spectral growth (read as
+        # data, it flags some of these centres in both modes)
+        net = depth_net("delta_prime", depth)
+        rep = wavefront(net, (-15.0, 1.0, 10.0, 15.0), RADIUS, mode=mode)
+        assert rep.flagged_centers() == ()
