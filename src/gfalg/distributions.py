@@ -243,9 +243,15 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
 def _regularize_tensor(m, moll, ladder, grid, mode, weight):
     """tensor2d frames: outer products of the factors' 1-D frames, stored on
     the base 2-D grid (pointwise-exact decimated samples; keeping small-eps
-    2-D frames on a refined grid would be prohibitively large)."""
+    2-D frames on a refined grid would be prohibitively large), where the
+    bare alias rule 2/eps_min <= pi/dx holds, without ALIAS_MARGIN."""
     if grid.dim != 2:
         raise ValueError("tensor2d needs a 2-D grid")
+    if ladder.eps_min * grid.dual_max < 2.0:
+        raise AliasingError(
+            f"tensor2d frames stay on the base grid, whose Nyquist frequency "
+            f"{grid.dual_max:.6g} is below 2/eps at eps={ladder.eps_min:.6g}",
+            eps_min_admissible=2.0 / grid.dual_max)
     axis_grid = GridSpec(1, grid.half_width, grid.n)
     nets = [regularize(f, moll, ladder, axis_grid, mode, weight)
             for f in m.factors]

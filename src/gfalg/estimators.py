@@ -117,11 +117,11 @@ def _rung_oversamples(a: NetFunction, box) -> list:
             for eps in a.ladder.values]
 
 
-def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
-                     return_peaks: bool = False) -> tuple:
-    """The multi-indices |alpha| <= alpha_max and the table of
-    sup_box |D^alpha f_eps|, one row per alpha and one column per rung;
-    with ``return_peaks`` also each frame's sup over the whole grid.
+def _derivative_sups(a: NetFunction, box, alpha_max: int,
+                     warn_label: str) -> tuple:
+    """The multi-indices |alpha| <= alpha_max, the table of
+    sup_box |D^alpha f_eps|, one row per alpha and one column per rung, and
+    each frame's sup over the whole grid.
 
     The order-0 row reads the stored frames.  The derivatives of rung j are
     taken on its own alias-free grid, the base grid refined m_j times (see
@@ -152,12 +152,9 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
         powers = _axis_powers(top, alphas[1:], half)
     coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
-        if return_peaks:
-            mag = np.abs(fr)
-            peaks[j], sups[0, j] = mag.max(), mag[box_fine].max()
-            del mag  # not held through the rung's transforms
-        else:
-            sups[0, j] = np.abs(fr[box_fine]).max()
+        mag = np.abs(fr)
+        peaks[j], sups[0, j] = mag.max(), mag[box_fine].max()
+        del mag  # not held through the rung's transforms
         if not alpha_max:
             continue
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
@@ -173,9 +170,7 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int, warn_label: str,
         for i, sym in enumerate(symbols, start=1):
             deriv = inverse(fhat * sym, coarse, half=half)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
-    if return_peaks:
-        return alphas, sups, peaks
-    return alphas, sups
+    return alphas, sups, peaks
 
 
 def _graded(alphas, sups: np.ndarray, h: float,
@@ -201,7 +196,7 @@ def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
                     seq: WeightSequence = None) -> SeminormLadder:
     """Derivative-graded sup-norms over the box, one value per rung."""
     seq = _require_sequence(a, seq)
-    alphas, sups = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
+    alphas, sups, _ = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
     return SeminormLadder(ladder=a.ladder,
                           values=_graded(alphas, sups, h, seq),
                           box=tuple(box), h=h, alpha_max=alpha_max)
@@ -224,7 +219,7 @@ def classify_net(a: NetFunction, box, mode: str = None,
     mode = mode or a.mode
     seq = _require_sequence(a, seq)
     alphas, sups, peaks = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
-                                           "classify_net", return_peaks=True)
+                                           "classify_net")
     with np.errstate(divide="ignore"):
         log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
                        for h in MODERATION_H_GRID}

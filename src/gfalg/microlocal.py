@@ -15,8 +15,7 @@ from .errors import ResolutionError
 from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
                          _real, _require_sequence)
 from .grids import GridSpec
-from .mollifier import PlateauProfile
-from .nets import NetFunction, SequenceScale, _window_center
+from .nets import NetFunction, SequenceScale, _window_center, _windowed_frames
 from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
@@ -24,15 +23,6 @@ from .weights import WeightSequence
 LOW_FREQUENCY_CUTOFF = 2.0
 
 MIN_CONE_NODES = 8
-
-#: Gevrey index of the spatial windows; strictly below common weight orders
-#: so the window itself never creates spurious cone growth.
-WINDOW_SIGMA = 1.5
-
-#: a windowed frame whose sup falls below this fraction of its parent
-#: frame's sup holds only transform round-off, not data; it is zeroed so
-#: the round-off cannot masquerade as spectral growth.
-WINDOW_NOISE_REL = 1e-10
 
 #: the least side of a window's box, in window diameters.  The box's dual
 #: nodes are 2 pi / side apart; with a side of 2.5 diameters the cone sups
@@ -234,33 +224,20 @@ def _window_box(fine: GridSpec, center, radius: float) -> tuple:
     return tuple(blocks), GridSpec(fine.dim, 0.5 * m * dx, m)
 
 
-def _distances(axis: np.ndarray, box: tuple, center) -> np.ndarray:
-    """|x - center| at the nodes of ``box``, a block of the grid whose axis
-    is ``axis``: bitwise the distances on the whole grid, read there."""
-    if len(box) == 1:
-        return np.abs(axis[box[0]] - center[0])
-    x, y = np.meshgrid(axis[box[0]], axis[box[1]], indexing="ij")
-    return np.hypot(x - center[0], y - center[1])
-
-
 def wavefront(a: NetFunction, window_centers, window_radius: float,
               cones: ConePartition = None, mode: str = None,
               seq: WeightSequence = None) -> WaveFrontReport:
     """Window-and-test wave front estimate: for each center, localize the
     net with a plateau window and run the per-cone decay test.
 
-    Each window is built on its box (:func:`_window_box`): the plateau
-    profile is evaluated at the box's nodes and multiplied into that block
-    of every frame, and the decay test reads the box's spectra.  A windowed
-    frame whose sup falls to WINDOW_NOISE_REL of its parent frame's sup is
-    zeroed."""
+    Each window is built on its box (:func:`_window_box`) by the builder
+    of :func:`nets.window_net`, noise-only rule included, so the boxed
+    frames are bitwise the block of the fine-grid windowed frames; the
+    decay test reads the box's spectra."""
     mode = mode or a.mode
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
     fine = a.fine_grid
-    axis = fine.axis()
-    profile = PlateauProfile(WINDOW_SIGMA, 0.5 * window_radius, window_radius)
-    floors = [WINDOW_NOISE_REL * np.max(np.abs(fr)) for fr in a.frames]
     keys = []
     entries = []
     for center in window_centers:
@@ -268,15 +245,9 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
         key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
         keys.append(key)
         box, box_grid = _window_box(fine, c_arr, window_radius)
-        w = profile(_distances(axis, box, c_arr))
-        frames = [fr[box] * w for fr in a.frames]
-        del w  # not held through the noise test and the transforms
-        for lf, floor in zip(frames, floors):
-            if np.max(np.abs(lf)) <= floor:
-                lf[...] = 0
-        localized = NetFunction(ladder=a.ladder, grid=box_grid,
-                                frames=tuple(frames), mode=a.mode,
-                                weight=a.weight)
+        localized = NetFunction(
+            ladder=a.ladder, grid=box_grid, mode=a.mode, weight=a.weight,
+            frames=_windowed_frames(a, c_arr, window_radius, box))
         entries.extend((key, v) for v in sigma_g(localized, cones, mode, seq))
     return WaveFrontReport(centers=tuple(keys), radius=window_radius,
                            mode=mode, entries=tuple(entries))

@@ -29,6 +29,10 @@ _GL12_NODES, _GL12_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _BREAKS = np.concatenate([[0.0], 2.0 ** -np.arange(20.0, 0.0, -1.0),
                           0.5 + np.arange(1, 9) / 16.0])
 
+#: Gevrey index of every plateau window; strictly below common weight
+#: orders so the window itself never creates spurious cone growth.
+WINDOW_SIGMA = 1.5
+
 
 def _bump_from_end(sigma: float, y: np.ndarray) -> np.ndarray:
     """exp(-(1 - s^2)^(-1/(sigma-1))) at s = y - 1, as a function of the
@@ -284,17 +288,23 @@ def verify_mollifier(net: MollifierNet) -> MollifierReport:
 
 
 def plateau_window(grid: GridSpec, center, radius: float,
-                   sigma: float = 2.0) -> np.ndarray:
+                   block: tuple = None) -> np.ndarray:
     """Smooth cutoff equal to 1 within ``radius/2`` of ``center`` and 0
-    beyond ``radius``; used to localize nets before spectral operations."""
+    beyond ``radius``, Gevrey-WINDOW_SIGMA in between; used to localize
+    nets before spectral operations.  With ``block``, one slice per axis,
+    it is evaluated at that block of the grid's nodes only: bitwise the
+    whole grid's window, read there."""
     if np.isscalar(center):
         center = (center,) * grid.dim
-    profile = PlateauProfile(sigma, 0.5 * radius, radius)
-    pts = grid.points()
+    if block is None:
+        block = (slice(None),) * grid.dim
+    profile = PlateauProfile(WINDOW_SIGMA, 0.5 * radius, radius)
+    axis = grid.axis()
     if grid.dim == 1:
-        dist = np.abs(pts[0] - center[0])
+        dist = np.abs(axis[block[0]] - center[0])
     else:
-        dist = np.hypot(pts[0] - center[0], pts[1] - center[1])
+        x, y = np.meshgrid(axis[block[0]], axis[block[1]], indexing="ij")
+        dist = np.hypot(x - center[0], y - center[1])
     return profile(dist)
 
 

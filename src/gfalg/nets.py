@@ -24,6 +24,10 @@ from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
 #: produced by floating point, not as data with a measurable decay rate.
 MACHINE_FLOOR = 1e-12
 
+#: a windowed frame whose sup falls to this fraction of its frame's sup
+#: holds only round-off (see :func:`_windowed_frames`).
+WINDOW_NOISE_REL = 1e-10
+
 
 @dataclass(frozen=True)
 class EpsilonLadder:
@@ -283,24 +287,43 @@ def apply_ultradiff(op: UltradiffOperator, a: NetFunction) -> NetFunction:
 
 
 def _window_center(grid: GridSpec, center, radius: float) -> np.ndarray:
-    """The centre of a window of ``radius`` as an array, once the window is
-    checked to stay inside the grid: |c| + radius <= L on every axis."""
+    """The centre of a window of ``radius`` as an array, once it is checked
+    to have one coordinate per axis (a plain number on a 1-D grid) and to
+    keep the window inside the grid: |c| + radius <= L on every axis."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (grid.dim,):
+        raise ValueError(f"window centre {center} needs one coordinate per "
+                         f"axis of the {grid.dim}-D grid")
     if np.any(np.abs(c) + radius > grid.half_width):
         raise ValueError(f"window at {center} leaves the grid")
     return c
 
 
-def window_net(a: NetFunction, center, radius: float,
-               sigma: float = 2.0) -> NetFunction:
+def _windowed_frames(a: NetFunction, center, radius: float,
+                     block: tuple = None) -> tuple:
+    """The frames of ``a`` times the plateau window of ``radius`` at
+    ``center``, on ``block`` of the fine grid (the whole grid by default).
+    A product whose sup is at most WINDOW_NOISE_REL of its frame's sup holds
+    only round-off and is zeroed, so it cannot read as spectral growth."""
+    c = _window_center(a.grid, center, radius)
+    if block is None:
+        block = (slice(None),) * a.grid.dim
+    w = plateau_window(a.fine_grid, c, radius, block)
+    frames = []
+    for fr in a.frames:
+        lf = fr[block] * w
+        if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * np.max(np.abs(fr)):
+            lf[...] = 0
+        frames.append(lf)
+    return tuple(frames)
+
+
+def window_net(a: NetFunction, center, radius: float) -> NetFunction:
     """Multiply every frame by a plateau window (1 within radius/2 of the
     center, 0 beyond radius), making the net edge-negligible before
-    spectral operations.  A window that leaves the grid is refused: the
-    periodic seam would cut it."""
-    _window_center(a.grid, center, radius)
-    w = plateau_window(a.fine_grid, center, radius, sigma)
-    frames = tuple(fr * w for fr in a.frames)
-    return replace(a, frames=frames)
+    spectral operations (see :func:`_windowed_frames`).  A window that
+    leaves the grid is refused: the periodic seam would cut it."""
+    return replace(a, frames=_windowed_frames(a, center, radius))
 
 
 def point_value(a: NetFunction, x: GeneralizedPoint) -> GeneralizedNumber:
@@ -352,8 +375,8 @@ def _bounded(trace: np.ndarray) -> bool:
 
 
 def _tends_to_zero(trace: np.ndarray) -> bool:
-    """Empirical 'tends to 0': final value below half the initial one and
-    below 0.5, with a non-increasing tail."""
+    """Empirical 'tends to 0', read at the ends only: the final value is at
+    most 0.5, and at most half the initial one or at most 0.05."""
     final = float(trace[-1])
     initial = float(trace[0])
     return final <= max(0.5 * initial, 0.05) and final <= 0.5

@@ -457,3 +457,29 @@ class TestWindowLeavesTheGrid:
                            name="edge")
         assert code == 0
         assert rep["results"]["window"] == {"center": 10.0, "radius": 10.0}
+
+
+class TestWindowOffTheSupport:
+    """delta' vanishes on |x - 15| <= 3: the windowed frames hold only the
+    round-off of their parent frames, which the window's noise-only rule
+    zeroes; read as data they would make the net "not_regular" and
+    "moderate" (fitted blow-up order 1.37)."""
+
+    @pytest.mark.parametrize("command,weight,path,expected", [
+        ("regularity", "gevrey:2", ("verdict", "verdict"), "regular"),
+        ("bb-classify", "omega:log1p", ("verdict", "classification"),
+         "negligible"),
+        ("crosscheck", "gevrey:2",
+         ("crosscheck", "omega_verdict", "classification"), "negligible")])
+    def test_delta_prime_reads_zero(self, tmp_path, command, weight, path,
+                                    expected):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({
+            "dist": "delta_prime", "weight": weight, "window_center": 15.0,
+            "window_radius": 3.0}))
+        code, _, rep = run(tmp_path, command, "--config", str(cfgp))
+        assert code == 0
+        value = rep["results"]
+        for key in path:
+            value = value[key]
+        assert value == expected

@@ -212,7 +212,7 @@ class TestRegularizedFrames:
 class TestTensor2D:
     def test_outer_product_frames(self, moll, seq):
         g2 = GridSpec(2, 10.0, 512)
-        lad = EpsilonLadder(2.0 ** -3, 0.5, 6)
+        lad = EpsilonLadder(1.0, 0.5, 6)
         m = ModelDistribution(
             "tensor2d", dim=2,
             factors=(ModelDistribution("delta"),
@@ -224,6 +224,20 @@ class TestTensor2D:
         for fr, fd, fa in zip(net.frames, d1.base_frames(),
                               a1.base_frames()):
             assert np.allclose(fr, np.outer(fd, fa))
+
+    def test_ladder_past_the_base_nyquist_raises(self, moll):
+        # tensor frames stay on the base grid: 2/eps_min = 256 passes
+        # pi/dx = 160.8, and the ladder 0.5 * 2^-j (128) fits
+        g2 = GridSpec(2, 2.5, 256)
+        m = ModelDistribution(
+            "tensor2d", dim=2,
+            factors=(ModelDistribution("delta"),
+                     ModelDistribution("gaussian")))
+        with pytest.raises(AliasingError) as err:
+            regularize(m, moll, EpsilonLadder(0.25, 0.5, 6), g2)
+        assert err.value.eps_min_admissible == 2.0 / g2.dual_max
+        net = regularize(m, moll, EpsilonLadder(0.5, 0.5, 6), g2)
+        assert net.oversample == 1
 
     def test_tensor_needs_2d_grid(self, moll, grid):
         lad = EpsilonLadder(2.0 ** -3, 0.5, 6)

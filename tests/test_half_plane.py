@@ -12,9 +12,9 @@ from gfalg.errors import ResolutionError
 from gfalg.estimators import (PATTERN_GRID, SPECTRAL_FLOOR,
                               _log_transform_sups)
 from gfalg.grids import GridSpec, forward, inverse
-from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, MIN_CONE_NODES,
-                              WINDOW_SIGMA, Cone, ConePartition, _cone_masks,
-                              _fold, sigma_g, wavefront)
+from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, MIN_CONE_NODES, Cone,
+                              ConePartition, _cone_masks, _fold, sigma_g,
+                              wavefront)
 from gfalg.nets import EpsilonLadder, SequenceScale, window_net
 from gfalg.weights import assoc, resolved_for
 
@@ -173,7 +173,7 @@ class TestHalfPlaneMasks:
 
     def test_antipodal_sectors_share_their_sups(self, rig_nets, seq):
         net = window_net(rig_nets[("delta", "gaussian")], (0.0, 0.0),
-                         RIG_RADIUS, WINDOW_SIGMA)
+                         RIG_RADIUS)
         masks = _cone_masks(RIG_CONES, RIG_GRID, True)
         scale = SequenceScale(seq, net.ladder)
         sups = _log_transform_sups(net, PATTERN_GRID, scale, masks)
@@ -211,7 +211,7 @@ class TestHalfPlaneMasks:
 
     def test_thin_cone_rejected_by_sigma_g(self, rig_nets):
         net = window_net(rig_nets[("delta", "gaussian")], (0.0, 0.0),
-                         RIG_RADIUS, WINDOW_SIGMA)
+                         RIG_RADIUS)
         thin = Cone("thin", (np.cos(5.0), np.sin(5.0)), 1e-6)
         part = ConePartition(dim=2, cones=(thin,))
         for a in (net, as_complex(net)):
@@ -234,8 +234,7 @@ class TestSigmaGMatchesTheFullPath:
 
     @pytest.mark.parametrize("factors", TENSORS)
     def test_raw_sups(self, rig_nets, seq, factors):
-        net = window_net(rig_nets[factors], (0.0, 0.0), RIG_RADIUS,
-                         WINDOW_SIGMA)
+        net = window_net(rig_nets[factors], (0.0, 0.0), RIG_RADIUS)
         fine = net.fine_grid
         scale = SequenceScale(seq, net.ladder)
         half = _log_transform_sups(
@@ -288,7 +287,7 @@ class TestCompactedSupsAreBitwiseTheAllNodeSups:
                               center, radius):
         base = catalog(kind) if depth == 8 else deep_nets[kind]
         assert base.ladder.count == depth
-        net = window_net(base, center, radius, WINDOW_SIGMA)
+        net = window_net(base, center, radius)
         masks = self.masks_1d(net.fine_grid)
         folded = [None] + [_fold(m, net.fine_grid) for m in masks[1:]]
         got = _log_transform_sups(net, PATTERN_GRID,
@@ -302,9 +301,9 @@ class TestCompactedSupsAreBitwiseTheAllNodeSups:
         m = ModelDistribution("tensor2d", dim=2, factors=tuple(
             ModelDistribution(kind) for kind in factors))
         with np.errstate(all="ignore"):
-            net = regularize(m, moll, EpsilonLadder(0.25, 0.5, 6), g,
+            net = regularize(m, moll, EpsilonLadder(0.5, 0.5, 6), g,
                              weight=seq)
-        net = window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
+        net = window_net(net, (0.0, 0.0), 1.0)
         part = ConePartition.sectors_2d(8)
         full_masks = [full_grid_mask(c, g).ravel() for c in part.cones]
         expected, _ = reference_sups(net, PATTERN_GRID, seq,

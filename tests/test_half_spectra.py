@@ -13,8 +13,8 @@ from gfalg.estimators import (MODERATION_ALPHA_MAX, PATTERN_GRID,
                               _log_transform_sups, classify_net,
                               regularity_test)
 from gfalg.grids import GridSpec, forward, inverse
-from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, WINDOW_SIGMA,
-                              ConePartition, _fold, sigma_g)
+from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, ConePartition, _fold,
+                              sigma_g)
 from gfalg.nets import EpsilonLadder, SequenceScale, window_net
 
 U = np.finfo(float).eps / 2  # unit round-off
@@ -31,7 +31,7 @@ def as_complex(net):
 
 
 def windowed(catalog, kind, center, radius):
-    return window_net(catalog(kind), center, radius, WINDOW_SIGMA)
+    return window_net(catalog(kind), center, radius)
 
 
 class TestHalfTransforms:
@@ -125,9 +125,10 @@ class TestEstimatorsMatchTheFullPath:
     def test_derivative_sups(self, catalog, kind, center, radius):
         net = windowed(catalog, kind, center, radius)
         box = (-10.0, 10.0)
-        alphas, half = _derivative_sups(net, box, MODERATION_ALPHA_MAX, "t")
-        _, full = _derivative_sups(as_complex(net), box,
-                                   MODERATION_ALPHA_MAX, "t")
+        alphas, half, _ = _derivative_sups(net, box, MODERATION_ALPHA_MAX,
+                                           "t")
+        _, full, _ = _derivative_sups(as_complex(net), box,
+                                      MODERATION_ALPHA_MAX, "t")
         fine = net.fine_grid
         xi = fine.dual_axis()
         dxi = 2 * np.pi / (fine.n * fine.spacing)
@@ -227,14 +228,14 @@ class TestFullSpectraKept:
     @pytest.fixture
     def net_2d(self, moll, seq):
         g2 = GridSpec(2, 2.5, 256)
-        lad = EpsilonLadder(0.25, 0.5, 6)
+        lad = EpsilonLadder(0.5, 0.5, 6)
         m = ModelDistribution(
             "tensor2d", dim=2,
             factors=(ModelDistribution("delta"),
                      ModelDistribution("gaussian")))
         with np.errstate(all="ignore"):
             net = regularize(m, moll, lad, g2, weight=seq)
-        return window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
+        return window_net(net, (0.0, 0.0), 1.0)
 
     def test_real_2d_net_takes_the_half_plane(self, net_2d, spectrum_sizes):
         assert all(fr.dtype == float for fr in net_2d.frames)

@@ -12,9 +12,8 @@ from gfalg.distributions import (ModelDistribution, classical_wf_oracle,
                                  regularize)
 from gfalg.errors import ResolutionError
 from gfalg.grids import GridSpec
-from gfalg.microlocal import (WINDOW_SIGMA, Cone, ConePartition, ConeVerdict,
-                              WaveFrontReport, sigma_g, wavefront,
-                              wf_compare)
+from gfalg.microlocal import (Cone, ConePartition, ConeVerdict,
+                              WaveFrontReport, sigma_g, wavefront, wf_compare)
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, apply_ultradiff,
                         combine, constant_embed, window_net)
 
@@ -70,7 +69,7 @@ class TestSigmaG:
         # a sliver cone pointing between grid directions captures almost
         # no dual nodes on a coarse 2-D grid
         g2 = GridSpec(2, 10.0, 256)
-        lad2 = EpsilonLadder(0.25, 0.5, 6)
+        lad2 = EpsilonLadder(0.5, 0.75, 6)
         m2 = ModelDistribution(
             "tensor2d", dim=2,
             factors=(ModelDistribution("gaussian"),
@@ -131,6 +130,29 @@ class TestWaveFront1D:
         with pytest.raises(ValueError,
                            match=r"window at .* leaves the grid"):
             wavefront(catalog("gaussian"), (center,), 10.0)
+
+
+class TestWindowCentre:
+    @pytest.mark.parametrize("center", ((0.0, 5.0), ()))
+    def test_1d_centre_needs_one_coordinate(self, catalog, center):
+        # unchecked, window_net would drop the second coordinate and
+        # wavefront would stop in numpy's IndexError
+        message = r"needs one coordinate per axis of the 1-D grid"
+        with pytest.raises(ValueError, match=message):
+            window_net(catalog("delta"), center, 1.0)
+        with pytest.raises(ValueError, match=message):
+            wavefront(catalog("delta"), [center], 0.5)
+
+    @pytest.mark.parametrize("center", (0.0, (0.0,), (0.0, 0.0, 0.0)))
+    def test_2d_centre_needs_two_coordinates(self, seq, center):
+        g2 = GridSpec(2, 5.0, 256)
+        net = constant_embed(lambda x, y: np.exp(-x ** 2 - y ** 2),
+                             EpsilonLadder(0.5, 0.5, 6), g2, weight=seq)
+        message = r"needs one coordinate per axis of the 2-D grid"
+        with pytest.raises(ValueError, match=message):
+            window_net(net, center, 1.0)
+        with pytest.raises(ValueError, match=message):
+            wavefront(net, [center], 1.0)
 
 
 class TestStability:
@@ -206,7 +228,7 @@ def line_patch(moll, seq):
                  ModelDistribution("gaussian")))
     with np.errstate(all="ignore"):
         net = regularize(m, moll, lad, g2, weight=seq)
-    return window_net(net, (0.0, 0.0), 1.0, WINDOW_SIGMA)
+    return window_net(net, (0.0, 0.0), 1.0)
 
 
 class TestOneSpectrumPerWindow:

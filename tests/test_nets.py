@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from gfalg.errors import GridMismatchError, SaturationError
 from gfalg.estimators import KH_GRID, PATTERN_GRID, regularity_test
-from gfalg.nets import (EpsilonLadder, GeneralizedNumber, GeneralizedPoint,
-                        SequenceScale, UltradiffOperator, apply_ultradiff,
+from gfalg.nets import (WINDOW_NOISE_REL, EpsilonLadder, GeneralizedNumber,
+                        GeneralizedPoint, NetFunction, SequenceScale,
+                        UltradiffOperator, apply_ultradiff,
                         classify_generalized_number, classify_growth, combine,
                         constant_embed, point_value, scale,
                         spectral_derivative, window_net)
@@ -356,6 +357,31 @@ class TestWindowing:
         x = grid.axis()
         assert np.all(w.frames[0][np.abs(x) <= 2.5] == 1.0)
         assert np.all(w.frames[0][np.abs(x) >= 5.0] == 0.0)
+
+    def test_noise_only_product_is_zeroed(self, small_rig):
+        # each frame is 1 at x = 8, beyond the window, and a on |x| <= 1,
+        # where the window is exactly 1: the product's sup is a against
+        # the frame's sup 1, zeroed at or below WINDOW_NOISE_REL
+        grid, ladder, seq = small_rig
+        x = grid.axis()
+        above = np.nextafter(WINDOW_NOISE_REL, 1.0)
+        levels = (0.5 * WINDOW_NOISE_REL, WINDOW_NOISE_REL, above,
+                  2.0 * WINDOW_NOISE_REL, 1e-3, 1.0, WINDOW_NOISE_REL, above)
+        frames = []
+        for a in levels:
+            fr = np.where(np.abs(x) <= 1.0, a, 0.0)
+            fr[grid.index_of(8.0)] = 1.0
+            frames.append(fr)
+        net = NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),
+                          weight=seq)
+        plateau = np.abs(x) <= 1.0
+        for a, fr, lf in zip(levels, frames,
+                             window_net(net, 0.0, 2.0).frames):
+            if a <= WINDOW_NOISE_REL:
+                assert not lf.any()
+            else:
+                assert np.max(np.abs(lf)) == a
+                assert np.array_equal(lf[plateau], fr[plateau])
 
 
 class TestSequenceScaleReads:

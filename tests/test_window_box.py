@@ -12,10 +12,9 @@ import pytest
 from gfalg import microlocal
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.grids import GridSpec, forward
-from gfalg.microlocal import (BOX_DIAMETERS, WINDOW_NOISE_REL, WINDOW_SIGMA,
-                              _window_box, wavefront)
+from gfalg.microlocal import BOX_DIAMETERS, _window_box, wavefront
 from gfalg.mollifier import plateau_window
-from gfalg.nets import EpsilonLadder, window_net
+from gfalg.nets import WINDOW_NOISE_REL, EpsilonLadder, window_net
 
 CENTERS = (-2.0, 0.0, 2.0)
 RADIUS = 0.5
@@ -55,8 +54,7 @@ def _fine_windowed(net, center, radius):
     """The window multiplied into each frame on the whole fine grid, each
     frame zeroed when it falls to the noise floor of its parent frame."""
     frames = []
-    for lf, fr in zip(window_net(net, center, radius, WINDOW_SIGMA).frames,
-                      net.frames):
+    for lf, fr in zip(window_net(net, center, radius).frames, net.frames):
         if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * np.max(np.abs(fr)):
             lf = np.zeros_like(lf)
         frames.append(lf)
@@ -92,7 +90,7 @@ class TestBoxSize:
             assert 0 <= block.start and block.stop <= fine.n
             assert (block.stop == fine.n) if center > 0 else \
                 (block.start == 0)
-            w = plateau_window(fine, center, RADIUS, WINDOW_SIGMA)
+            w = plateau_window(fine, center, RADIUS)
             assert w[block].max() == 1.0
             assert not w[:block.start].any() and not w[block.stop:].any()
 
@@ -137,7 +135,7 @@ class TestBoxSpectra:
         m = ModelDistribution("tensor2d", dim=2, factors=(
             ModelDistribution("delta"), ModelDistribution("gaussian")))
         with np.errstate(all="ignore"):
-            net = regularize(m, moll, EpsilonLadder(0.25, 0.5, 6), g2,
+            net = regularize(m, moll, EpsilonLadder(1.0, 0.5, 6), g2,
                              weight=seq)
         centers = ((0.0, 0.0), (2.0, -1.0))
         wavefront(net, centers, 1.0, mode="beurling")
@@ -154,7 +152,7 @@ class TestBoxSpectra:
         m = ModelDistribution("tensor2d", dim=2, factors=(
             ModelDistribution("heaviside"), ModelDistribution("gaussian")))
         with np.errstate(all="ignore"):
-            net = regularize(m, moll, EpsilonLadder(0.25, 0.5, 6), g2,
+            net = regularize(m, moll, EpsilonLadder(1.0, 0.5, 6), g2,
                              weight=seq)
         center = (9.0, 0.0)
         wavefront(net, (center,), 1.0, mode="beurling")
