@@ -53,7 +53,7 @@ def _entry(kind: str) -> ModelDistribution:
 def _h2_minus_h(h, ladder, seq, mode) -> str:
     defect = combine(combine(h, h, "mul"), h, "sub")
     origin = GeneralizedPoint(ladder, [[0.0]] * ladder.count, (-1.0, 1.0))
-    scale = max(float(abs(fr).max()) for fr in defect.frames)
+    scale = float(defect.sups.max())
     verdict = classify_generalized_number(point_value(defect, origin), seq,
                                           mode, reference_scale=scale)
     return verdict.classification

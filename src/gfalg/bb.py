@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _bounded_residual
 from .grids import GridSpec, forward
-from .nets import (FunctionScale, GrowthVerdict, NetFunction, _edge_mass,
-                   censor_at_floor, classify_growth)
+from .nets import (FunctionScale, GrowthVerdict, NetFunction,
+                   _bounded_residual, _edge_mass, censor_at_floor,
+                   classify_growth)
 from .weights import WeightFunction
 
 #: lambda exponents sampled by the graded moderation test.
@@ -180,10 +180,6 @@ def norm_equivalence_check(f: np.ndarray, grid: GridSpec, w: WeightFunction,
         l2_holds=l2_holds)
 
 
-def _frame_sups(a: NetFunction) -> np.ndarray:
-    return np.array([float(np.max(np.abs(fr))) for fr in a.frames])
-
-
 def classify_net_bb(a: NetFunction, w: WeightFunction,
                     mode: str = None) -> GrowthVerdict:
     """Moderate / negligible verdict at exp(k*omega(1/eps)) scales.
@@ -194,10 +190,9 @@ def classify_net_bb(a: NetFunction, w: WeightFunction,
     stay bounded, Roumieu asks some lambda to.  Negligibility is decided on
     the 0-th order sup norms via nu_j = (-log S_eps)/omega(1/eps_j), which
     the weight-function null characterization licenses."""
-    sups = _frame_sups(a)
     return classify_growth(FunctionScale(w, a.ladder),
-                           _fl1_ladders(a, w, LAMBDA_GRID), sups,
-                           float(np.max(sups)), mode or a.mode)
+                           _fl1_ladders(a, w, LAMBDA_GRID), a.sups,
+                           float(a.sups.max()), mode or a.mode)
 
 
 @dataclass(frozen=True)
@@ -232,8 +227,7 @@ def colombeau_crosscheck(a: NetFunction) -> CrosscheckReport:
     w = WeightFunction.log_one_plus_t()
     verdict = classify_net_bb(a, w, "beurling")
 
-    sups = _frame_sups(a)
-    log_sups, censored = censor_at_floor(sups, float(np.max(sups)))
+    log_sups, censored = censor_at_floor(a.sups, float(a.sups.max()))
     log_inv_eps = np.log(1.0 / a.ladder.values)
 
     # growth order: slope of log sup against log(1/eps) over the tail

@@ -324,8 +324,8 @@ def _frame_table(net) -> str:
     wr = csv.writer(buf, lineterminator="\n")
     wr.writerow(["eps", "sup", "l1"])
     dx = net.fine_grid.spacing
-    for eps, fr in zip(net.ladder.values, net.frames):
-        wr.writerow([f"{eps:.12g}", f"{float(np.max(np.abs(fr))):.12g}",
+    for eps, fr, sup in zip(net.ladder.values, net.frames, net.sups):
+        wr.writerow([f"{eps:.12g}", f"{float(sup):.12g}",
                      f"{float(np.sum(np.abs(fr))) * dx ** net.grid.dim:.12g}"])
     return buf.getvalue()
 
@@ -338,7 +338,7 @@ def cmd_embed(cfg: ExperimentConfig) -> tuple[dict, dict]:
     report = {
         "distribution": {"kind": dist.kind},
         "ladder": net.ladder.to_json(),
-        "frame_sups": [float(np.max(np.abs(fr))) for fr in net.frames],
+        "frame_sups": [float(s) for s in net.sups],
         "oversample": net.oversample,
         "verdict": {"classification": verdict.classification},
     }
@@ -412,7 +412,7 @@ def cmd_impossibility_demo(cfg: ExperimentConfig) -> tuple[dict, dict]:
     origin = GeneralizedPoint(ladder,
                               np.zeros((ladder.count, 1)), (-1.0, 1.0))
     vals = point_value(defect, origin)
-    scale = max(float(np.max(np.abs(fr))) for fr in defect.frames)
+    scale = float(defect.sups.max())
     verdict = classify_generalized_number(vals, seq, cfg.mode,
                                           reference_scale=scale)
     report = {

@@ -11,7 +11,7 @@ import numpy as np
 from .distributions import rung_oversample
 from .grids import GridSpec, _axis_powers, _band, _symbol, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _warn_boundary_mass, classify_growth)
+                   _bounded_residual, _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence
 
 #: relative magnitude under which transform samples count as noise, not
@@ -30,9 +30,6 @@ FORALL_EXTENSION = 2.0 ** -5
 
 #: the values a "for all" leg runs over: the grid and the extension.
 PATTERN_GRID = np.array([FORALL_EXTENSION, *KH_GRID])
-
-#: log-residual slack operationalizing "O(...)" along the ladder.
-O_SLACK = 1.0
 
 
 def _multi_indices(dim: int, order_max: int):
@@ -69,13 +66,6 @@ def _box_slices(grid: GridSpec, box):
             return None
         block.append(slice(int(inside[0]), int(inside[-1]) + 1))
     return tuple(block)
-
-
-def _real(a: NetFunction) -> bool:
-    """Are the net's frames real?  Their spectra are then Hermitian and are
-    taken on the half spectrum (the half axis in 1-D, the half plane in
-    2-D)."""
-    return not any(np.iscomplexobj(fr) for fr in a.frames)
 
 
 def _radius_keys(grid: GridSpec, width: int, nodes: np.ndarray) -> np.ndarray:
@@ -119,9 +109,8 @@ def _rung_oversamples(a: NetFunction, box) -> list:
 
 def _derivative_sups(a: NetFunction, box, alpha_max: int,
                      warn_label: str) -> tuple:
-    """The multi-indices |alpha| <= alpha_max, the table of
-    sup_box |D^alpha f_eps|, one row per alpha and one column per rung, and
-    each frame's sup over the whole grid.
+    """The multi-indices |alpha| <= alpha_max and the table of
+    sup_box |D^alpha f_eps|, one row per alpha and one column per rung.
 
     The order-0 row reads the stored frames.  The derivatives of rung j are
     taken on its own alias-free grid, the base grid refined m_j times (see
@@ -143,18 +132,15 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     alphas = _multi_indices(a.grid.dim, alpha_max)
     # 2-D symbols are built on the full grid: 2-D frames keep the full
     # transforms here
-    half = a.grid.dim == 1 and _real(a)
+    half = a.grid.dim == 1 and a.real
     sups = np.zeros((len(alphas), a.ladder.count))
-    peaks = np.zeros(a.ladder.count)
     if alpha_max:
         rung_m = _rung_oversamples(a, box)
         top = a.grid.refine(max(rung_m))
         powers = _axis_powers(top, alphas[1:], half)
     coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
-        mag = np.abs(fr)
-        peaks[j], sups[0, j] = mag.max(), mag[box_fine].max()
-        del mag  # not held through the rung's transforms
+        sups[0, j] = np.abs(fr[box_fine]).max()
         if not alpha_max:
             continue
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
@@ -165,12 +151,12 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
             if coarse.n == top.n:
                 powers = None  # no rung grid is larger
             box_coarse = _box_slices(coarse, box)
-        _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
+        _warn_boundary_mass(eps, fr, a.sups[j], warn_label, stacklevel=4)
         fhat = _band(forward(fr, fine, half=half), fine, coarse, half)
         for i, sym in enumerate(symbols, start=1):
             deriv = inverse(fhat * sym, coarse, half=half)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
-    return alphas, sups, peaks
+    return alphas, sups
 
 
 def _graded(alphas, sups: np.ndarray, h: float,
@@ -196,7 +182,7 @@ def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
                     seq: WeightSequence = None) -> SeminormLadder:
     """Derivative-graded sup-norms over the box, one value per rung."""
     seq = _require_sequence(a, seq)
-    alphas, sups, _ = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
+    alphas, sups = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
     return SeminormLadder(ladder=a.ladder,
                           values=_graded(alphas, sups, h, seq),
                           box=tuple(box), h=h, alpha_max=alpha_max)
@@ -218,15 +204,14 @@ def classify_net(a: NetFunction, box, mode: str = None,
     """
     mode = mode or a.mode
     seq = _require_sequence(a, seq)
-    alphas, sups, peaks = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
-                                           "classify_net")
+    alphas, sups = _derivative_sups(a, box, MODERATION_ALPHA_MAX,
+                                    "classify_net")
     with np.errstate(divide="ignore"):
         log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
                        for h in MODERATION_H_GRID}
     order0 = _graded(alphas[:1], sups[:1], 1.0, seq)
-    sup_scale = float(peaks.max())
     return classify_growth(SequenceScale(seq, a.ladder), log_ladders, order0,
-                           sup_scale, mode)
+                           float(a.sups.max()), mode)
 
 
 @dataclass(frozen=True)
@@ -266,7 +251,7 @@ def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
 
 @dataclass(frozen=True)
 class RegularityVerdict:
-    verdict: str  # regular | not_regular | inconclusive
+    verdict: str  # regular | not_regular
     mode: str
     witness: dict
     residual_table: dict = field(repr=False)
@@ -307,7 +292,7 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
     ``microlocal._cone_masks``).
     """
     fine = a.fine_grid
-    half = _real(a)
+    half = a.real
     width = fine.n // 2 + 1 if half else fine.n
     n_keys = (fine.n // 2 + 1) ** fine.dim
     grades = np.asarray(grades, dtype=float)
@@ -369,51 +354,31 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
     return results
 
 
-def _bounded_residual(r: np.ndarray) -> bool:
-    """The O(1) rule on a log-residual sequence along the ladder (largest
-    eps first).  Its finite entries are bounded when none rises more than
-    O_SLACK above the head value (the largest eps carrying data) and the
-    tail is not on a rebound: a dip-then-grow sequence is unbounded in the
-    limit even if it has not yet re-crossed its head value on the ladder.
-    With no finite entry there is nothing to bound."""
-    rf = r[np.isfinite(r)]
-    if rf.size == 0:
-        return True
-    return bool(np.max(rf) <= rf[0] + O_SLACK
-                and rf[-1] <= np.min(rf) + O_SLACK)
-
-
-def _pattern_search(sups_by_h, scale: SequenceScale, mode: str):
+def _pattern_search(sups_by_h, growth: dict, mode: str):
     """Search for the mode's quantifier pattern.
 
     Beurling: exists k such that for every h the residual sequence
-    log-sup(h) - M(k/eps) is bounded (value at the largest eps + slack).
-    Roumieu: exists h working for every k.  The 'for all' leg includes one
-    octave beyond the hard end of the grid.
+    log-sup(h) - M(k/eps) is bounded (:func:`nets._bounded_residual`).
+    Roumieu: exists h working for every k.  ``growth`` is the table
+    {k: M(k/eps_j)} over PATTERN_GRID; the 'for all' leg includes one octave
+    beyond the hard end of the grid.  KH_GRID is searched from its tight
+    end: a pass returns the least k (Beurling) or h (Roumieu) and its
+    residual table, a fail the table of KH_GRID's largest value.
     """
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
-    growth = scale.growth(PATTERN_GRID)
-
-    def bounded(h: float, k: float) -> bool:
-        return _bounded_residual(sups_by_h[float(h)] - growth[float(k)])
-
     # the witness searched for is k in Beurling mode and h in Roumieu mode;
     # the other one runs over the 'for all' leg
     witness = "k" if mode == "beurling" else "h"
-
-    def h_and_k(found, every):
-        return (every, found) if witness == "k" else (found, every)
-
-    for found in KH_GRID[::-1]:
-        if all(bounded(*h_and_k(found, every)) for every in PATTERN_GRID):
-            return "regular", {witness: float(found)}, {}
-    found = float(KH_GRID.max())
-    residuals = {}
-    for every in PATTERN_GRID:
-        h, k = h_and_k(found, every)
-        residuals[f"h={h:g},k={k:g}"] = sups_by_h[float(h)] - growth[float(k)]
-    return "not_regular", {f"{witness}_tried_max": found}, residuals
+    for found in KH_GRID:
+        residuals = {}
+        for every in PATTERN_GRID:
+            h, k = (every, found) if witness == "k" else (found, every)
+            residuals[f"h={h:g},k={k:g}"] = (sups_by_h[float(h)]
+                                             - growth[float(k)])
+        if all(_bounded_residual(r) for r in residuals.values()):
+            return "regular", {witness: float(found)}, residuals
+    return "not_regular", {f"{witness}_tried_max": float(found)}, residuals
 
 
 def regularity_test(a: NetFunction, mode: str = None,
@@ -424,6 +389,7 @@ def regularity_test(a: NetFunction, mode: str = None,
     mode = mode or a.mode
     scale = SequenceScale(_require_sequence(a, seq), a.ladder)
     (sups,) = _log_transform_sups(a, PATTERN_GRID, scale, [None])
-    verdict, witness, residuals = _pattern_search(sups, scale, mode)
+    verdict, witness, residuals = _pattern_search(
+        sups, scale.growth(PATTERN_GRID), mode)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

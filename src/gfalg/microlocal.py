@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ResolutionError
 from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
-                         _real, _require_sequence)
+                         _require_sequence)
 from .grids import GridSpec
 from .nets import NetFunction, SequenceScale, _window_center, _windowed_frames
 from .weights import WeightSequence
@@ -84,7 +84,7 @@ class ConePartition:
 @dataclass(frozen=True)
 class ConeVerdict:
     cone: Cone
-    verdict: str  # regular | singular | inconclusive
+    verdict: str  # regular | singular
     witness: dict
 
     @property
@@ -150,11 +150,12 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
         raise ValueError("cone partition dimension mismatch")
-    masks = _cone_masks(cones, a.fine_grid, _real(a))
+    masks = _cone_masks(cones, a.fine_grid, a.real)
     per_cone = _log_transform_sups(a, PATTERN_GRID, scale, masks)
+    growth = scale.growth(PATTERN_GRID)
     out = []
     for cone, sups in zip(cones.cones, per_cone):
-        verdict, witness, _ = _pattern_search(sups, scale, mode)
+        verdict, witness, _ = _pattern_search(sups, growth, mode)
         out.append(ConeVerdict(
             cone=cone, witness=witness,
             verdict="regular" if verdict == "regular" else "singular"))

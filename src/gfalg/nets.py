@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,20 @@ class NetFunction:
     @property
     def fine_grid(self) -> GridSpec:
         return self.grid.refine(self.oversample)
+
+    @cached_property
+    def sups(self) -> np.ndarray:
+        """max |frame| over the whole fine grid, one entry per rung, read
+        once per net on first use."""
+        sups = np.array([np.max(np.abs(fr)) for fr in self.frames])
+        sups.setflags(write=False)
+        return sups
+
+    @property
+    def real(self) -> bool:
+        """Are the frames real?  Their spectra are then Hermitian and are
+        taken on the half spectrum (half axis in 1-D, half plane in 2-D)."""
+        return not any(np.iscomplexobj(fr) for fr in self.frames)
 
     def base_frames(self) -> tuple:
         """Frames decimated to the base grid (exact: refinement keeps the
@@ -194,12 +209,11 @@ def _edge_mass(frame: np.ndarray) -> float:
     return float(max(vals))
 
 
-def _warn_boundary_mass(eps: float, frame: np.ndarray, warn_label: str,
-                        stacklevel: int) -> None:
+def _warn_boundary_mass(eps: float, frame: np.ndarray, sup: float,
+                        warn_label: str, stacklevel: int) -> None:
     """RuntimeWarning when a frame about to get a Fourier multiplier
-    carries boundary mass above 1e-8 of its sup: periodic wrap-around would
-    pollute the result.  ``stacklevel`` counts from this helper."""
-    sup = float(np.max(np.abs(frame)))
+    carries boundary mass above 1e-8 of its ``sup``: periodic wrap-around
+    would pollute the result.  ``stacklevel`` counts from this helper."""
     if sup > 0 and _edge_mass(frame) > 1e-8 * sup:
         warnings.warn(
             f"{warn_label}: frame at eps={eps:.6g} carries boundary mass "
@@ -212,8 +226,8 @@ def _apply_symbol(a: NetFunction, symbol: np.ndarray,
                   warn_label: str) -> NetFunction:
     fine = a.fine_grid
     frames = []
-    for eps, fr in zip(a.ladder.values, a.frames):
-        _warn_boundary_mass(eps, fr, warn_label, stacklevel=4)
+    for eps, fr, sup in zip(a.ladder.values, a.frames, a.sups):
+        _warn_boundary_mass(eps, fr, sup, warn_label, stacklevel=4)
         out = inverse(forward(fr, fine) * symbol, fine)
         frames.append(out)
     return replace(a, frames=tuple(frames))
@@ -310,9 +324,9 @@ def _windowed_frames(a: NetFunction, center, radius: float,
         block = (slice(None),) * a.grid.dim
     w = plateau_window(a.fine_grid, c, radius, block)
     frames = []
-    for fr in a.frames:
+    for fr, sup in zip(a.frames, a.sups):
         lf = fr[block] * w
-        if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * np.max(np.abs(fr)):
+        if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * sup:
             lf[...] = 0
         frames.append(lf)
     return tuple(frames)
@@ -365,13 +379,24 @@ def _bilinear(fr: np.ndarray, axis: np.ndarray, pt: np.ndarray):
     return out
 
 
-def _bounded(trace: np.ndarray) -> bool:
-    """Empirical 'bounded along the ladder': the tail does not keep growing
-    past the head."""
-    half = len(trace) // 2
-    head = float(np.max(trace[:half]))
-    tail = float(np.max(trace[half:]))
-    return tail <= max(1.5 * head, head + 0.1)
+#: log-residual slack operationalizing "O(...)" along the ladder.
+O_SLACK = 1.0
+
+
+def _bounded_residual(r: np.ndarray) -> bool:
+    """The O(1) rule on a sequence along the ladder (largest eps first):
+    log-residuals in the regularity and cone tests and the Colombeau
+    cross-check, rates kappa in moderation.  Its finite entries are bounded
+    when none rises more than O_SLACK above the head value (the largest eps
+    carrying data) and the tail is not on a rebound: a dip-then-grow
+    sequence is unbounded in the limit even if it has not yet re-crossed
+    its head value on the ladder.  With no finite entry there is nothing to
+    bound."""
+    rf = r[np.isfinite(r)]
+    if rf.size == 0:
+        return True
+    return bool(np.max(rf) <= rf[0] + O_SLACK
+                and rf[-1] <= np.min(rf) + O_SLACK)
 
 
 def _tends_to_zero(trace: np.ndarray) -> bool:
@@ -469,7 +494,7 @@ class FunctionScale:
 
     @staticmethod
     def roumieu_moderate(kappa: np.ndarray) -> bool:
-        return _bounded(kappa) or _tends_to_zero(kappa)
+        return _bounded_residual(kappa) or _tends_to_zero(kappa)
 
 
 def censor_at_floor(mags: np.ndarray, reference_scale: float) -> tuple:
@@ -520,8 +545,13 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
     the graded statistic; moderation reads it through the scale's rate
     kappa.  Negligibility is decided on the 0-th order ``sups`` alone (the
     null characterization licenses this) through the decay rate nu.
-    Quantifier alternation is certified empirically from the trend of
-    these traces (an estimator, not a proof).
+    Quantifier alternation is certified empirically from these traces (an
+    estimator, not a proof).  Bounds read the O(1) rule
+    :func:`_bounded_residual` on kappa; three readings are limits: kappa ->
+    0 (Roumieu moderation of a sequence), nu -> infinity (Beurling
+    negligibility) and nu >= 0.05 (Roumieu negligibility).  A net that is
+    neither clearly grows ("neither") when, at the least grade, the second
+    half's least kappa is more than O_SLACK above the first half's largest.
     """
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
@@ -536,7 +566,7 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
     nu_eff = np.where(censored, np.inf, nu)
     if mode == "beurling":
         negligible = _tends_to_infinity(nu_eff)
-        moderate = all(_bounded(k) for k in kappas.values())
+        moderate = all(_bounded_residual(k) for k in kappas.values())
     else:
         negligible = bool(np.min(nu_eff) >= 0.05)
         moderate = any(scale.roumieu_moderate(k) for k in kappas.values())
@@ -545,13 +575,9 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
     elif moderate:
         classification = "moderate"
     else:
-        # distinguish clear growth from noise: growth at the smallest grade
-        # must show an increasing trajectory
         kappa = kappas[min(kappas)]
         half = len(kappa) // 2
-        head = float(np.max(kappa[:half]))
-        clearly_growing = float(np.min(kappa[half:])) >= max(1.2 * head,
-                                                             head + 0.05)
+        clearly_growing = np.min(kappa[half:]) > np.max(kappa[:half]) + O_SLACK
         classification = "neither" if clearly_growing else "inconclusive"
     return GrowthVerdict(classification=classification,
                          mode=scale.mode_prefix + mode, fitted=fitted,

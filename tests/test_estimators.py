@@ -4,11 +4,13 @@ derivative interpolation inequality, and uniform regularity."""
 import numpy as np
 import pytest
 
-from gfalg.estimators import (MODERATION_ALPHA_MAX, MODERATION_H_GRID,
-                              O_SLACK, _bounded_residual, classify_net,
+from gfalg.estimators import (KH_GRID, MODERATION_ALPHA_MAX,
+                              MODERATION_H_GRID, PATTERN_GRID,
+                              _pattern_search, classify_net,
                               landau_kolmogorov_check, regularity_test,
                               seminorm_ladder)
-from gfalg.nets import (NetFunction, SequenceScale, classify_growth, combine,
+from gfalg.nets import (O_SLACK, NetFunction, SequenceScale,
+                        _bounded_residual, classify_growth, combine,
                         window_net)
 from gfalg.weights import WeightSequence
 
@@ -198,6 +200,50 @@ class TestRegularity:
         net = combine(catalog("gaussian"), catalog("gaussian"), "sub")
         v = regularity_test(net, mode=mode)
         assert v.verdict == "regular"
+
+
+class TestPatternSearchWitness:
+    """The witness is searched from the tight end of KH_GRID: the least k
+    (Beurling) or h (Roumieu) that passes, with its residual table."""
+
+    def test_beurling_witness_is_the_least_k(self, ladder, seq):
+        growth = SequenceScale(seq, ladder).growth(PATTERN_GRID)
+        sups = {float(h): growth[1.0] for h in PATTERN_GRID}
+        verdict, witness, table = _pattern_search(sups, growth, "beurling")
+        assert (verdict, witness) == ("regular", {"k": 1.0})
+        assert list(table) == [f"h={h:g},k=1" for h in PATTERN_GRID]
+        for r in table.values():
+            np.testing.assert_array_equal(r, 0.0)
+
+    def test_roumieu_witness_is_the_least_h(self, ladder, seq):
+        growth = SequenceScale(seq, ladder).growth(PATTERN_GRID)
+        m1 = growth[1.0]
+        sups = {float(h): m1 if h < 1 else -m1 for h in PATTERN_GRID}
+        verdict, witness, table = _pattern_search(sups, growth, "roumieu")
+        assert (verdict, witness) == ("regular", {"h": 1.0})
+        assert list(table) == [f"h=1,k={k:g}" for k in PATTERN_GRID]
+        for k in PATTERN_GRID:
+            np.testing.assert_array_equal(table[f"h=1,k={k:g}"],
+                                          -m1 - growth[float(k)])
+
+    def test_fail_reports_the_loose_end(self, ladder, seq):
+        scale = SequenceScale(seq, ladder)
+        growth = scale.growth(PATTERN_GRID)
+        # M(32/eps) outgrows M(k/eps) for every k of the grid
+        beyond = scale.growth([32.0])[32.0]
+        sups = {float(h): beyond for h in PATTERN_GRID}
+        verdict, witness, table = _pattern_search(sups, growth, "beurling")
+        top = float(KH_GRID.max())
+        assert (verdict, witness) == ("not_regular", {"k_tried_max": top})
+        assert list(table) == [f"h={h:g},k={top:g}" for h in PATTERN_GRID]
+
+    def test_regular_catalog_witness_is_tight(self, catalog):
+        # the gaussian passes at the grid's tightest end in both modes
+        net = window_net(catalog("gaussian"), 0.0, 10.0)
+        for mode, grade in (("beurling", "k"), ("roumieu", "h")):
+            v = regularity_test(net, mode=mode)
+            assert v.witness == {grade: float(KH_GRID.min())}
+            assert len(v.residual_table) == len(PATTERN_GRID)
 
 
 class TestBoundedResidual:

@@ -125,10 +125,9 @@ class TestEstimatorsMatchTheFullPath:
     def test_derivative_sups(self, catalog, kind, center, radius):
         net = windowed(catalog, kind, center, radius)
         box = (-10.0, 10.0)
-        alphas, half, _ = _derivative_sups(net, box, MODERATION_ALPHA_MAX,
-                                           "t")
-        _, full, _ = _derivative_sups(as_complex(net), box,
-                                      MODERATION_ALPHA_MAX, "t")
+        alphas, half = _derivative_sups(net, box, MODERATION_ALPHA_MAX, "t")
+        _, full = _derivative_sups(as_complex(net), box,
+                                   MODERATION_ALPHA_MAX, "t")
         fine = net.fine_grid
         xi = fine.dual_axis()
         dxi = 2 * np.pi / (fine.n * fine.spacing)

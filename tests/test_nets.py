@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from gfalg.errors import GridMismatchError, SaturationError
 from gfalg.estimators import KH_GRID, PATTERN_GRID, regularity_test
-from gfalg.nets import (WINDOW_NOISE_REL, EpsilonLadder, GeneralizedNumber,
-                        GeneralizedPoint, NetFunction, SequenceScale,
-                        UltradiffOperator, apply_ultradiff,
+from gfalg.nets import (O_SLACK, WINDOW_NOISE_REL, EpsilonLadder,
+                        GeneralizedNumber, GeneralizedPoint, NetFunction,
+                        SequenceScale, UltradiffOperator, apply_ultradiff,
                         classify_generalized_number, classify_growth, combine,
                         constant_embed, point_value, scale,
                         spectral_derivative, window_net)
@@ -347,6 +347,48 @@ class TestNumberClassification:
         with pytest.raises(ValueError):
             GeneralizedNumber(ladder, np.array(
                 [np.inf] * ladder.count, dtype=complex))
+
+
+class _RateScale:
+    """A scale whose rate kappa is the log statistic itself, so a test sets
+    kappa exactly; its Roumieu moderation is the weight sequence's
+    (kappa -> 0)."""
+
+    grade = "h"
+    mode_prefix = ""
+    roumieu_moderate = staticmethod(SequenceScale.roumieu_moderate)
+
+    def kappa(self, log_abs):
+        return np.asarray(log_abs, dtype=float)
+
+    def nu(self, log_abs):
+        return -np.asarray(log_abs, dtype=float)
+
+
+class TestOneBoundedRule:
+    """Moderation and "clearly growing" read the O(1) rule of the
+    regularity test on an 8-rung kappa trace: a rise of more than O_SLACK
+    is unbounded, and clear growth is the second half's least kappa more
+    than O_SLACK above the first half's largest."""
+
+    def _classify(self, trace, mode):
+        # unit sups: nu = 0 on every rung, so nothing is negligible
+        return classify_growth(_RateScale(), {1.0: np.array(trace)},
+                               np.ones(len(trace)), 1.0, mode).classification
+
+    @pytest.mark.parametrize("tail,expected", (
+        # 3.6 <= 1.5 * 2.5 read "moderate" under a relative rule
+        (3.6, "neither"),
+        (2.5 + O_SLACK, "moderate")))
+    def test_beurling(self, tail, expected):
+        assert self._classify([2.5] * 4 + [tail] * 4, "beurling") == expected
+
+    @pytest.mark.parametrize("tail,expected", (
+        # 11.5 < 1.2 * 10 read "inconclusive" under a relative rule
+        (11.5, "neither"),
+        (10.0 + O_SLACK, "inconclusive")))
+    def test_roumieu(self, tail, expected):
+        assert self._classify([10.0] * 4 + [tail] * 4, "roumieu") == expected
 
 
 class TestWindowing:

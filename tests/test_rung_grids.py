@@ -117,7 +117,7 @@ class TestNyquistSymbol:
         assert _rung_oversamples(net, box) == [1] * 6
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _, sups, _ = _derivative_sups(net, box, 1, "t")
+            _, sups = _derivative_sups(net, box, 1, "t")
         for j, fr in enumerate(net.frames):
             d1 = inverse(forward(fr, g2) * -g2.dual_points()[0], g2)
             inside = [(x >= -1.0) & (x <= 1.0) for x in g2.points()]
@@ -134,7 +134,7 @@ class TestCutGrid2D:
                              weight=seq, oversample=4)
         box = (-2.0, 2.0)
         assert _rung_oversamples(net, box) == [1, 1, 1, 2, 4, 4]
-        _, sups, _ = _derivative_sups(net, box, 1, "t")
+        _, sups = _derivative_sups(net, box, 1, "t")
         # sup |d/dx exp(-x^2 - y^2)| = sqrt(2/e), sampled at spacing <= 0.04
         np.testing.assert_allclose(sups[1:], np.sqrt(2 / np.e), rtol=1e-3)
         assert sups[1, 0] == sups[1, 2]
@@ -150,7 +150,7 @@ class TestExactness:
         # read on before (35.06 on each)
         net = deep("gaussian")
         assert net.oversample == 64
-        alphas, sups, _ = _derivative_sups(net, (-10.0, 10.0), 4, "t")
+        alphas, sups = _derivative_sups(net, (-10.0, 10.0), 4, "t")
         assert alphas[4] == (4,)
         coarse = [j for j, m in enumerate(_rung_oversamples(
             net, (-10.0, 10.0))) if m <= net.oversample // 8]
@@ -170,12 +170,12 @@ class TestExactness:
     def test_order_zero_reads_the_stored_frames(self, deep):
         net = window_net(deep("heaviside"), 0.0, 10.0)
         box = (-3.0, 5.0)
-        _, sups, peaks = _derivative_sups(net, box, 2, "t")
+        _, sups = _derivative_sups(net, box, 2, "t")
         x = net.fine_grid.axis()
         inside = (x >= box[0]) & (x <= box[1])
         for j, fr in enumerate(net.frames):
             assert sups[0, j] == np.max(np.abs(fr)[inside])
-            assert peaks[j] == np.max(np.abs(fr))
+            assert net.sups[j] == np.max(np.abs(fr))
 
 
 class TestCost:
