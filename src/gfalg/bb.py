@@ -12,7 +12,7 @@ import numpy as np
 
 from .grids import GridSpec, forward
 from .nets import (FunctionScale, GrowthVerdict, NetFunction,
-                   _bounded_residual, _edge_mass, censor_at_floor,
+                   _bounded_residual, _edge_mass, _spectrum, censor_at_floor,
                    classify_growth)
 from .weights import WeightFunction
 
@@ -37,19 +37,34 @@ def _require_edge_negligible(f: np.ndarray, label: str) -> None:
             "(dual-grid quadrature assumes a compactly supported function)")
 
 
-def _log_spectrum(f: np.ndarray, grid: GridSpec, omega: np.ndarray) -> tuple:
-    """log|fhat| on the dual nodes where fhat != 0, and omega(|xi|) on the
-    same nodes; ``omega`` holds omega(|xi|) on every node in fft order."""
-    mag = np.abs(forward(np.asarray(f), grid)).ravel()
+def _log_spectrum(fhat: np.ndarray, grid: GridSpec,
+                  omega: np.ndarray) -> tuple:
+    """log|fhat| on the dual nodes where fhat != 0, omega(|xi|) there (from
+    ``omega`` on every dual node), and each node's count in a sum over the
+    full spectrum: a half spectrum's columns 1 .. n/2 - 1 (of n//2 + 1)
+    stand for their mirror images too and count twice."""
+    width = fhat.shape[-1]
+    count = np.full(width, 1.0 if width == grid.n else 2.0)
+    count[[0, -1]] = 1.0
+    count = np.broadcast_to(count, fhat.shape).ravel()
+    mag = np.abs(fhat).ravel()
     pos = mag > 0
-    return np.log(mag[pos]), omega[pos]
+    return np.log(mag[pos]), omega[..., :width].ravel()[pos], count[pos]
+
+
+def _sample_spectrum(f, grid: GridSpec, w: WeightFunction, label: str):
+    """:func:`_log_spectrum` of edge-negligible samples (half if real 1-D)."""
+    _require_edge_negligible(f, label)
+    half = grid.dim == 1 and np.isrealobj(f)
+    return _log_spectrum(forward(np.asarray(f), grid, half=half), grid,
+                         w(grid.dual_radius()))
 
 
 def _log_norm(spectrum: tuple, grid: GridSpec, lam: float, variant) -> float:
-    """log of the weighted Fourier--Lebesgue norm of a :func:`_log_spectrum`
-    pair; -inf for the zero function.  All accumulation happens in log
-    space so that large lambda*omega exponents cannot overflow."""
-    log_mag, omega = spectrum
+    """log of the weighted Fourier--Lebesgue norm of a :func:`_log_spectrum`;
+    -inf for the zero function.  All accumulation happens in log space so
+    that large lambda*omega exponents cannot overflow."""
+    log_mag, omega, count = spectrum
     if log_mag.size == 0:
         return -np.inf
     log_terms = log_mag + lam * omega
@@ -60,7 +75,7 @@ def _log_norm(spectrum: tuple, grid: GridSpec, lam: float, variant) -> float:
     log_dxi = grid.dim * np.log(2.0 * np.pi / (grid.n * grid.spacing))
     scaled = p * log_terms
     top = float(np.max(scaled))
-    total = top + np.log(np.sum(np.exp(scaled - top)))
+    total = top + np.log(np.sum(count * np.exp(scaled - top)))
     return float((total + log_dxi) / p)
 
 
@@ -73,8 +88,7 @@ def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
         raise ValueError("lambda must be positive")
     if str(variant) not in ("1", "2", "inf"):
         raise ValueError('variant must be one of "1", "2", "inf"')
-    _require_edge_negligible(f, "fl_norm")
-    spectrum = _log_spectrum(f, grid, w(grid.dual_radius().ravel()))
+    spectrum = _sample_spectrum(f, grid, w, "fl_norm")
     ln = _log_norm(spectrum, grid, lam, str(variant))
     if ln == -np.inf:
         return 0.0
@@ -93,15 +107,17 @@ class OmegaNormLadder:
 
 
 def _fl1_ladders(a: NetFunction, w: WeightFunction, lams) -> dict:
-    """{lambda: per-rung log FL1 norms}: each frame is transformed once and
+    """{lambda: per-rung log FL1 norms}: each frame's spectrum is read once
+    (:func:`nets._spectrum`), on the half axis for a real 1-D net, and
     omega(|xi|) is evaluated once for every lambda."""
     fine = a.fine_grid
     for fr in a.frames:
         _require_edge_negligible(fr, "omega_norm_ladder")
-    omega = w(fine.dual_radius().ravel())
+    half = a.grid.dim == 1 and a.real
+    omega = w(fine.dual_radius())
     logs = {lam: np.empty(a.ladder.count) for lam in lams}
-    for j, fr in enumerate(a.frames):
-        spectrum = _log_spectrum(fr, fine, omega)
+    for j in range(a.ladder.count):
+        spectrum = _log_spectrum(_spectrum(a, j, half), fine, omega)
         for lam, values in logs.items():
             values[j] = _log_norm(spectrum, fine, lam, "1")
     return logs
@@ -152,8 +168,7 @@ def norm_equivalence_check(f: np.ndarray, grid: GridSpec, w: WeightFunction,
         raise ValueError("weight needs a positive logarithmic lower-growth "
                          "constant b")
     shift = (grid.dim + 1) / b
-    _require_edge_negligible(f, "norm_equivalence_check")
-    spectrum = _log_spectrum(f, grid, w(grid.dual_radius().ravel()))
+    spectrum = _sample_spectrum(f, grid, w, "norm_equivalence_check")
     log_inf = _log_norm(spectrum, grid, lam, "inf")
     log_one = _log_norm(spectrum, grid, lam, "1")
     log_two = _log_norm(spectrum, grid, lam, "2")

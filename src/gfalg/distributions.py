@@ -148,23 +148,6 @@ def _spatial_samples(m: ModelDistribution, grid: GridSpec) -> np.ndarray:
     return q * plateau_window(grid, 0.0, m.window_radius)
 
 
-def _heaviside_frames(psis, xi: np.ndarray, grid: GridSpec):
-    """Exact band-limited-plus-ramp antiderivatives of the periodized
-    phi_eps, one per ``psi_eps`` of ``psis`` on the grid's half axis ``xi``:
-    the cumulatives of the delta frames with H(0) = 1/2.  The xi != 0 mask,
-    the divisor -i xi and the ramp depend only on the grid and are built
-    once."""
-    nz = xi != 0
-    # antiderivative coefficients: (dA/dx)^ = -i xi A^ must equal psi_eps
-    divisor = -1j * xi[nz]
-    # the xi=0 mode of phi_eps has mean psi(0)/(2L); restore it as a ramp
-    ramp = 0.5 + grid.axis() / (2.0 * grid.half_width)
-    for psi_eps in psis:
-        coef = np.zeros(xi.size, dtype=complex)
-        coef[nz] = psi_eps[nz] / divisor
-        yield ramp + inverse(coef, grid, half=True)
-
-
 def _rung_profiles(moll: MollifierNet, ladder: EpsilonLadder,
                    abs_xi: np.ndarray):
     """psi(eps_j |xi|) on the nodes ``abs_xi`` of a half axis, rung by rung.
@@ -206,8 +189,8 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
     grid and the ladder is built once per call: psi at eps_min, which the
     other rungs of a ladder of ratio 2^-p read strided, bitwise their own
     evaluation (:func:`_rung_profiles`), and the heaviside kind's divisor
-    and ramp (:func:`_heaviside_frames`).  The complex frames of a table
-    evaluate psi on the full axis per rung."""
+    and ramp.  Real frames carry their band spectra (``NetFunction.spectra``).
+    The complex frames of a table evaluate psi on the full axis per rung."""
     if m.kind == "tensor2d":
         return _regularize_tensor(m, moll, ladder, grid, mode, weight)
     if grid.dim != 1:
@@ -227,17 +210,30 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
         fhat_vals = spectral_data(m)(xi)
 
     if not half:
-        frames = [_maybe_real(inverse(fhat_vals * moll.profile(eps * abs_xi),
-                                      fine))
-                  for eps in ladder.values]
-    elif m.kind == "heaviside":
-        frames = list(_heaviside_frames(
-            _rung_profiles(moll, ladder, abs_xi), xi, fine))
-    else:
-        frames = [inverse(fhat_vals * psi_eps, fine, half=True)
-                  for psi_eps in _rung_profiles(moll, ladder, abs_xi)]
-    return NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),
-                       mode=mode, weight=weight, oversample=over)
+        return NetFunction(ladder=ladder, grid=grid, frames=tuple(
+            _maybe_real(inverse(fhat_vals * moll.profile(eps * abs_xi), fine))
+            for eps in ladder.values), mode=mode, weight=weight,
+            oversample=over)
+    # heaviside: antiderivatives A of phi_eps, -i xi A^ = psi_eps at xi != 0,
+    # plus the ramp for its mean psi(0)/(2L), so that H(0) = 1/2
+    ramp = m.kind == "heaviside"
+    if ramp:
+        divisor = -1j * xi
+        ramp_x = 0.5 + fine.axis() / (2.0 * fine.half_width)
+    frames, bands = [], []
+    for psi_eps in _rung_profiles(moll, ladder, abs_xi):
+        spec = (np.divide(psi_eps, divisor, where=xi != 0,
+                          out=np.zeros(xi.size, dtype=complex))
+                if ramp else fhat_vals * psi_eps)
+        frames.append(inverse(spec, fine, half=True))
+        if ramp:
+            frames[-1] += ramp_x
+        # psi_eps is nonzero on a prefix of the half axis; copied out of spec
+        bands.append(spec[: np.count_nonzero(psi_eps)].copy())
+    net = NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),
+                      mode=mode, weight=weight, oversample=over)
+    object.__setattr__(net, "spectra", (tuple(bands), ramp))
+    return net
 
 
 def _regularize_tensor(m, moll, ladder, grid, mode, weight):

@@ -9,9 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import rung_oversample
-from .grids import GridSpec, _axis_powers, _band, _symbol, forward, inverse
+from .grids import GridSpec, _axis_powers, _symbol, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _bounded_residual, _warn_boundary_mass, classify_growth)
+                   _bounded_residual, _spectrum, _warn_boundary_mass,
+                   classify_growth)
 from .weights import WeightSequence
 
 #: relative magnitude under which transform samples count as noise, not
@@ -114,9 +115,9 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
 
     The order-0 row reads the stored frames.  The derivatives of rung j are
     taken on its own alias-free grid, the base grid refined m_j times (see
-    :func:`_rung_oversamples`): the frame is transformed once on the fine
-    grid, its nodes |k| <= n_j/2 are kept, and each alpha != 0 costs one
-    inverse of size n_j, whose sup is read at that grid's box nodes.
+    :func:`_rung_oversamples`): its spectrum at |k| <= n_j/2 is read once
+    (:func:`nets._spectrum`), and each alpha != 0 costs one inverse of
+    size n_j, whose sup is read at that grid's box nodes.
     Frames are processed one at a time, and m_j does not decrease along
     the ladder, so one grid's symbols are held at a time.  The powers
     (-xi)^k are built once, on the largest rung grid, each rung grid's
@@ -152,7 +153,7 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
                 powers = None  # no rung grid is larger
             box_coarse = _box_slices(coarse, box)
         _warn_boundary_mass(eps, fr, a.sups[j], warn_label, stacklevel=4)
-        fhat = _band(forward(fr, fine, half=half), fine, coarse, half)
+        fhat = _spectrum(a, j, half, coarse)
         for i, sym in enumerate(symbols, start=1):
             deriv = inverse(fhat * sym, coarse, half=half)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
@@ -277,16 +278,16 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
     log|fhat_j(xi)| + M(|xi|/h).  Nodes below the fft noise floor of the
     frame are excluded (they carry rounding noise, not decay data).
 
-    Each frame is transformed once, and only its nodes above the
-    ladder-wide floor are kept.  The penalties M(|xi|/h) come from the
-    scale (:meth:`SequenceScale.penalties`), evaluated at the radii of kept
-    nodes alone, once per distinct radius.  A mask is read at the nodes
-    some frame keeps (the data nodes), and a mask that agrees there with
-    an earlier one shares that mask's sups.  The masks may be a generator
-    yielding one mask at a time.  Returns the list of per-mask {h: sups}
-    dicts.
+    Each frame's spectrum is read once (:func:`nets._spectrum`), and only
+    its nodes above the ladder-wide floor are kept.  The penalties
+    M(|xi|/h) come from the scale (:meth:`SequenceScale.penalties`),
+    evaluated at the radii of kept nodes alone, once per distinct radius.
+    A mask is read at the nodes some frame keeps (the data nodes), and a
+    mask that agrees there with an earlier one shares that mask's sups.
+    The masks may be a generator yielding one mask at a time.  Returns the
+    list of per-mask {h: sups} dicts.
 
-    Real frames are transformed on the half spectrum, where |fhat| and
+    Real frames are read on the half spectrum, where |fhat| and
     M(|xi|/h) are even; a mask is given in the layout of the frames'
     spectrum, over the half spectrum for real frames (see
     ``microlocal._cone_masks``).
@@ -300,8 +301,8 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
     # that floor is at most the ladder-wide one, so no node is lost, and no
     # full-size |fhat_j| outlives its transform
     frames, top = [], 0.0
-    for fr in a.frames:
-        mag = np.abs(forward(fr, fine, half=half)).ravel()
+    for j in range(a.ladder.count):
+        mag = np.abs(_spectrum(a, j, half)).ravel()
         peak = float(mag.max())
         nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
         frames.append((nodes, mag[nodes]))

@@ -208,6 +208,8 @@ def _axis_powers(grid: GridSpec, alphas, half: bool = False) -> dict:
     (-xi), within (k - 1) u of the exact power: ``**`` calls the C
     library's ``pow`` for every exponent but 0, 1 and 2, at about 100
     times the cost of a product."""
+    if half and grid.dim != 1:
+        raise ValueError("half-axis powers are 1-D only")
     orders = set()
     for alpha in alphas:
         if len(alpha) != grid.dim or any(k < 0 for k in alpha):
@@ -237,7 +239,9 @@ def _symbol(powers: dict, top: GridSpec, grid: GridSpec, alpha,
     +-pi/dx; the half axis of ``top`` holds +pi/dx there, so a smaller grid
     is read from it only cut.  On the half axis the symbol is i^k (-xi)^k,
     that of the plain derivative f^(k) = i^k D^k f: Hermitian, so f^(k) is
-    real, and |f^(k)| = |D^k f|."""
+    real, and |f^(k)| = |D^k f| (in 1-D: no half axis is a half plane)."""
+    if half and grid.dim != 1:
+        raise ValueError("half-axis symbols are 1-D only")
     factors = []
     for k in alpha:
         factor = _band(powers[k], top, grid, half)

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError
-from .grids import GridSpec, _axis_powers, _symbol, forward, inverse
+from .grids import (_I_POWERS, GridSpec, _alternate, _axis_powers, _band,
+                    _symbol, forward, inverse)
 from .mollifier import plateau_window
 from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
                       resolved_for)
@@ -72,6 +73,11 @@ class NetFunction:
     mode: str = "beurling"
     weight: object = None
     oversample: int = 1
+    #: (bands, ramp) of a real 1-D ``regularize`` net, which ``replace``
+    #: never copies: per rung f^ psi(eps_j |xi|) on the fine half axis up to
+    #: psi_j's support, and whether frames add the ramp j/n (:func:`_spectrum`)
+    spectra: tuple = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.mode not in ("beurling", "roumieu"):
@@ -222,14 +228,55 @@ def _warn_boundary_mass(eps: float, frame: np.ndarray, sup: float,
             RuntimeWarning, stacklevel=stacklevel)
 
 
-def _apply_symbol(a: NetFunction, symbol: np.ndarray,
-                  warn_label: str) -> NetFunction:
+def _spectrum(a: NetFunction, j: int, half: bool, grid=None) -> np.ndarray:
+    """Frame j's spectrum (half with ``half``) at the dual nodes of ``grid``,
+    by default the fine grid: the carried band zero-padded, plus the ramp's
+    where frames add one, or else the frame's transform (:func:`_band`)."""
     fine = a.fine_grid
+    grid = grid or fine
+    if not (half and a.spectra):
+        return _band(forward(a.frames[j], fine, half=half), fine, grid, half)
+    bands, ramp = a.spectra
+    nodes = grid.n // 2 + 1
+    out = np.zeros(nodes, dtype=complex)
+    if ramp:
+        # the ramp j/n: sum_j (j/n) w^j = 1/(w - 1) = -(1 + i cot(pi k/n))/2
+        # at w = e^(2 pi i k/n) != 1
+        cot = 1.0 / np.tan(np.pi * np.arange(1, nodes) / fine.n)
+        out.real[1:] = -0.5 * fine.spacing
+        out.imag[1:] = -0.5 * fine.spacing * cot
+        out[0] = 0.5 * fine.spacing * (fine.n - 1)
+        _alternate(out)
+    out[: min(nodes, bands[j].size)] += bands[j][:nodes]
+    return out
+
+
+def _apply_symbol(a: NetFunction, coeffs: dict,
+                  warn_label: str) -> NetFunction:
+    """Frame-wise sum_alpha c_alpha D^alpha, one multiplier on the fine grid,
+    in complex frames.  On a real 1-D net f^(k) = i^k D^k f is real, so with
+    b_k = c_k (-i)^k the real and imaginary parts, sum Re(b_k) f^(k) and
+    sum Im(b_k) f^(k), take one real-pair inverse each, if any b_k has one."""
+    fine = a.fine_grid
+    half = a.grid.dim == 1 and a.real
+    powers = _axis_powers(fine, coeffs, half)
+    terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c,
+              _symbol(powers, fine, fine, alpha, half))
+             for alpha, c in coeffs.items()]
+    symbol = ({"real": sum(b.real * sym for b, sym in terms if b.real),
+               "imag": sum(b.imag * sym for b, sym in terms if b.imag)}
+              if half else sum(b * sym for b, sym in terms))
     frames = []
-    for eps, fr, sup in zip(a.ladder.values, a.frames, a.sups):
-        _warn_boundary_mass(eps, fr, sup, warn_label, stacklevel=4)
-        out = inverse(forward(fr, fine) * symbol, fine)
-        frames.append(out)
+    for j, eps in enumerate(a.ladder.values):
+        _warn_boundary_mass(eps, a.frames[j], a.sups[j], warn_label,
+                            stacklevel=4)
+        fhat = _spectrum(a, j, half)
+        if half:
+            out = np.zeros(fine.n, dtype=complex)
+            for part, sym in symbol.items():
+                if np.ndim(sym):  # a part no b_k has is 0
+                    setattr(out, part, inverse(fhat * sym, fine, half=True))
+        frames.append(out if half else inverse(fhat * symbol, fine))
     return replace(a, frames=tuple(frames))
 
 
@@ -244,9 +291,7 @@ def spectral_derivative(a: NetFunction, alpha) -> NetFunction:
     alpha = tuple(int(k) for k in alpha)
     if all(k == 0 for k in alpha):
         return a
-    fine = a.fine_grid
-    sym = _symbol(_axis_powers(fine, [alpha]), fine, fine, alpha)
-    return _apply_symbol(a, sym, "spectral_derivative")
+    return _apply_symbol(a, {alpha: 1.0}, "spectral_derivative")
 
 
 @dataclass(frozen=True)
@@ -296,8 +341,7 @@ class UltradiffOperator:
 
 def apply_ultradiff(op: UltradiffOperator, a: NetFunction) -> NetFunction:
     """Apply the truncated operator spectrally as a single multiplier."""
-    sym = op.symbol(a.fine_grid)
-    return _apply_symbol(a, sym, "apply_ultradiff")
+    return _apply_symbol(a, op.coeffs, "apply_ultradiff")
 
 
 def _window_center(grid: GridSpec, center, radius: float) -> np.ndarray:

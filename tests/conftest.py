@@ -54,12 +54,13 @@ def catalog(grid, ladder, seq, moll):
 @pytest.fixture
 def transform_counts(monkeypatch):
     """Counts of the grids.forward / grids.inverse calls made through the
-    estimators module from here on."""
-    from gfalg import estimators
+    estimators module, and of the frame transforms of the spectrum reader
+    nets._spectrum, from here on."""
+    from gfalg import estimators, nets
     calls = {"forward": 0, "inverse": 0}
 
-    def counting(name):
-        fn = getattr(estimators, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -67,5 +68,6 @@ def transform_counts(monkeypatch):
         return counted
 
     for name in calls:
-        monkeypatch.setattr(estimators, name, counting(name))
+        monkeypatch.setattr(estimators, name, counting(estimators, name))
+    monkeypatch.setattr(nets, "forward", counting(nets, "forward"))
     return calls

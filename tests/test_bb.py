@@ -183,7 +183,8 @@ class TestOneSpectrumPerFrame:
 
     @pytest.fixture
     def forward_calls(self, monkeypatch):
-        from gfalg import bb
+        # samples are transformed in bb, net frames by the reader in nets
+        from gfalg import bb, nets
         calls = []
         real = bb.forward
 
@@ -192,6 +193,7 @@ class TestOneSpectrumPerFrame:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bb, "forward", counted)
+        monkeypatch.setattr(nets, "forward", counted)
         return calls
 
     def test_classify_transforms_each_frame_once(self, catalog,

@@ -231,8 +231,9 @@ class TestFlagValues:
 class TestBbClassifyReusesLadder:
     def test_one_forward_per_rung(self, tmp_path, monkeypatch):
         # fl_norms.csv reads the classifier's lambda = 1 ladder instead of
-        # transforming every frame a second time
-        from gfalg import bb
+        # transforming every frame a second time; frames are transformed by
+        # the spectrum reader nets._spectrum
+        from gfalg import bb, nets
         calls = []
         real = bb.forward
 
@@ -241,6 +242,7 @@ class TestBbClassifyReusesLadder:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bb, "forward", counted)
+        monkeypatch.setattr(nets, "forward", counted)
         code, out, rep = run(tmp_path, "bb-classify", "--weight",
                              "omega:log1p", "--dist", "delta")
         assert code == 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gfalg import distributions, estimators
+from gfalg import distributions, estimators, nets
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.estimators import (MODERATION_ALPHA_MAX, PATTERN_GRID,
                               SPECTRAL_FLOOR, _derivative_sups,
@@ -208,7 +208,9 @@ class TestFullSpectraKept:
             sizes.append(out.shape)
             return out
 
+        # frames are transformed by the spectrum reader nets._spectrum
         monkeypatch.setattr(estimators, "forward", recorded)
+        monkeypatch.setattr(nets, "forward", recorded)
         return sizes
 
     def test_real_1d_net_takes_the_half_axis(self, catalog, spectrum_sizes):
