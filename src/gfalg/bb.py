@@ -29,20 +29,29 @@ LOG_SPACE_GUARD = 600.0
 _EDGE_TOL = 1e-6
 
 
-def _require_edge_negligible(f: np.ndarray, label: str) -> None:
-    sup = float(np.max(np.abs(f)))
-    if sup > 0 and _edge_mass(np.asarray(f)) > _EDGE_TOL * sup:
+def _require_edge_negligible(f: np.ndarray, sup: float, label: str) -> None:
+    """Refuse samples whose edge carries more than _EDGE_TOL of their sup."""
+    if sup > 0 and _edge_mass(f) > _EDGE_TOL * sup:
         raise ValueError(
             f"{label}: samples are not edge-negligible; window them first "
             "(dual-grid quadrature assumes a compactly supported function)")
 
 
+def _omega(w: WeightFunction, grid: GridSpec, half: bool) -> np.ndarray:
+    """omega(|xi|) at the nodes a spectrum is read at, with ``half`` the
+    first n//2 + 1 of the last axis: bitwise ``w(grid.dual_radius())``."""
+    xi = grid.dual_axis()
+    last = np.abs(xi[: grid.n // 2 + 1] if half else xi)
+    return w(last if grid.dim == 1 else
+             np.hypot(*np.meshgrid(xi, last, indexing="ij")))
+
+
 def _log_spectrum(fhat: np.ndarray, grid: GridSpec,
                   omega: np.ndarray) -> tuple:
     """log|fhat| on the dual nodes where fhat != 0, omega(|xi|) there (from
-    ``omega`` on every dual node), and each node's count in a sum over the
-    full spectrum: a half spectrum's columns 1 .. n/2 - 1 (of n//2 + 1)
-    stand for their mirror images too and count twice."""
+    ``omega`` on the spectrum's nodes or on every dual node), and each
+    node's count in a sum over the full spectrum: a half spectrum's columns
+    1 .. n/2 - 1 (of n//2 + 1) count twice, for their mirror images."""
     width = fhat.shape[-1]
     count = np.full(width, 1.0 if width == grid.n else 2.0)
     count[[0, -1]] = 1.0
@@ -53,11 +62,13 @@ def _log_spectrum(fhat: np.ndarray, grid: GridSpec,
 
 
 def _sample_spectrum(f, grid: GridSpec, w: WeightFunction, label: str):
-    """:func:`_log_spectrum` of edge-negligible samples (half if real 1-D)."""
-    _require_edge_negligible(f, label)
-    half = grid.dim == 1 and np.isrealobj(f)
-    return _log_spectrum(forward(np.asarray(f), grid, half=half), grid,
-                         w(grid.dual_radius()))
+    """:func:`_log_spectrum` of edge-negligible samples, on the half
+    spectrum if they are real."""
+    f = np.asarray(f)
+    _require_edge_negligible(f, float(np.max(np.abs(f))), label)
+    half = np.isrealobj(f)
+    return _log_spectrum(forward(f, grid, half=half), grid,
+                         _omega(w, grid, half))
 
 
 def _log_norm(spectrum: tuple, grid: GridSpec, lam: float, variant) -> float:
@@ -108,13 +119,13 @@ class OmegaNormLadder:
 
 def _fl1_ladders(a: NetFunction, w: WeightFunction, lams) -> dict:
     """{lambda: per-rung log FL1 norms}: each frame's spectrum is read once
-    (:func:`nets._spectrum`), on the half axis for a real 1-D net, and
+    (:func:`nets._spectrum`), on the half spectrum for a real net, and
     omega(|xi|) is evaluated once for every lambda."""
     fine = a.fine_grid
-    for fr in a.frames:
-        _require_edge_negligible(fr, "omega_norm_ladder")
-    half = a.grid.dim == 1 and a.real
-    omega = w(fine.dual_radius())
+    for fr, sup in zip(a.frames, a.sups):
+        _require_edge_negligible(fr, sup, "omega_norm_ladder")
+    half = a.real
+    omega = _omega(w, fine, half)
     logs = {lam: np.empty(a.ladder.count) for lam in lams}
     for j in range(a.ladder.count):
         spectrum = _log_spectrum(_spectrum(a, j, half), fine, omega)

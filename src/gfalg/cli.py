@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .mollifier import build_mollifier, export_mollifier, verify_mollifier
 from .nets import (EpsilonLadder, GeneralizedPoint, combine,
                    classify_generalized_number, point_value, window_net)
 from .weights import (WeightFunction, WeightSequence, check_assoc_m2,
-                      check_conditions, omega_check, resolved_for)
+                      check_conditions, m2_constant, omega_check,
+                      resolved_for)
 
 REPORT_SCHEMA = "gfalg-report/1"
 
@@ -213,15 +214,14 @@ def parse_weight(spec: str):
         f"weight {spec!r}: expected gevrey:S, omega:log1p or omega:pow:A")
 
 
-def _require_sequence(w, ctx: str) -> WeightSequence:
-    if not isinstance(w, WeightSequence):
-        raise ConfigError(f"{ctx} needs a gevrey:S weight")
-    return w
+_WEIGHT_KINDS = {WeightSequence: "a gevrey:S", WeightFunction: "an omega:*"}
 
 
-def _require_omega(w, ctx: str) -> WeightFunction:
-    if not isinstance(w, WeightFunction):
-        raise ConfigError(f"{ctx} needs an omega:* weight")
+def _checked_weight(cfg: ExperimentConfig, kind: type, ctx: str):
+    """The configured weight, refused unless it is of ``kind``."""
+    w = parse_weight(cfg.weight)
+    if not isinstance(w, kind):
+        raise ConfigError(f"{ctx} needs {_WEIGHT_KINDS[kind]} weight")
     return w
 
 
@@ -255,7 +255,10 @@ def _rig(cfg: ExperimentConfig):
     return grid, ladder, moll
 
 
-def _embed(cfg: ExperimentConfig, seq=None):
+def _embed(cfg: ExperimentConfig, ctx: str = ""):
+    """The configured distribution and its net, which carries the mode and,
+    for the command ``ctx``, the weight (gevrey:S) that classifiers read."""
+    seq = _checked_weight(cfg, WeightSequence, ctx) if ctx else None
     grid, ladder, moll = _rig(cfg)
     dist = build_distribution(cfg)
     net = regularize(dist, moll, ladder, grid, mode=cfg.mode, weight=seq)
@@ -266,9 +269,9 @@ def _embed(cfg: ExperimentConfig, seq=None):
 
 def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
     w = parse_weight(cfg.weight)
+    t_grid = np.geomspace(1e-2, 1e6, 200)
     if isinstance(w, WeightSequence):
         rep = check_conditions(w)
-        t_grid = np.geomspace(1e-2, 1e6, 200)
         # the functional form is checked on a table deep enough for M(H*t);
         # the deeper table may need a larger H, so H is read from it again
         # until it is stable.  Without a finite H there is nothing to check.
@@ -276,7 +279,7 @@ def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
         m2_functional_ok = False
         while np.isfinite(H):
             deep = resolved_for(w, H * t_grid[-1])
-            deep_h = check_conditions(deep).m2_constants[1]
+            deep_h = m2_constant(deep)
             if deep_h == H:
                 m2_functional_ok = check_assoc_m2(deep, t_grid, H)
                 break
@@ -293,7 +296,6 @@ def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
         }
         verdict = {"ok": rep.m1_ok and m2_ok and rep.m3prime_converges}
     else:
-        t_grid = np.geomspace(1e-2, 1e6, 200)
         rep = omega_check(w, t_grid)
         report = {
             "weight": w.to_json(),
@@ -310,8 +312,7 @@ def cmd_weights_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_mollifier_build(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    grid = GridSpec(1, cfg.grid_half_width, cfg.grid_n)
-    moll = build_mollifier(cfg.sigma, grid)
+    moll = _rig(cfg)[2]
     rep = verify_mollifier(moll)
     manifest = export_mollifier(moll, cfg.out)
     report = {"mollifier": rep.to_json(), "export": manifest,
@@ -319,22 +320,25 @@ def cmd_mollifier_build(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return report, {}
 
 
-def _frame_table(net) -> str:
+def _ladder_csv(ladder: EpsilonLadder, columns: dict) -> str:
+    """One row per rung: eps and each column's value there, to 12 digits."""
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["eps", "sup", "l1"])
-    dx = net.fine_grid.spacing
-    for eps, fr, sup in zip(net.ladder.values, net.frames, net.sups):
-        wr.writerow([f"{eps:.12g}", f"{float(sup):.12g}",
-                     f"{float(np.sum(np.abs(fr))) * dx ** net.grid.dim:.12g}"])
+    wr.writerow(["eps", *columns])
+    for row in zip(ladder.values, *columns.values()):
+        wr.writerow([f"{float(v):.12g}" for v in row])
     return buf.getvalue()
 
 
+def _frame_table(net) -> str:
+    dx = net.fine_grid.spacing
+    l1 = [float(np.sum(np.abs(fr))) * dx ** net.grid.dim for fr in net.frames]
+    return _ladder_csv(net.ladder, {"sup": net.sups, "l1": l1})
+
+
 def cmd_embed(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    seq = _require_sequence(w, "embed")
-    dist, net = _embed(cfg, seq)
-    verdict = classify_net(net, cfg.box, mode=cfg.mode, seq=seq)
+    dist, net = _embed(cfg, "embed")
+    verdict = classify_net(net, cfg.box)
     report = {
         "distribution": {"kind": dist.kind},
         "ladder": net.ladder.to_json(),
@@ -346,34 +350,21 @@ def cmd_embed(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_classify(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    seq = _require_sequence(w, "classify")
-    dist, net = _embed(cfg, seq)
-    verdict = classify_net(net, cfg.box, mode=cfg.mode, seq=seq)
+    dist, net = _embed(cfg, "classify")
+    verdict = classify_net(net, cfg.box)
     report = {
         "distribution": {"kind": dist.kind},
         "verdict": verdict.to_json(),
     }
     csvs = {"frames.csv": _frame_table(net),
-            "nu.csv": _trace_csv("nu", net.ladder, verdict.nu)}
+            "nu.csv": _ladder_csv(net.ladder, {"nu": verdict.nu})}
     return report, csvs
 
 
-def _trace_csv(name: str, ladder: EpsilonLadder, trace) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["eps", name])
-    for eps, v in zip(ladder.values, np.asarray(trace, dtype=float)):
-        wr.writerow([f"{eps:.12g}", f"{v:.12g}"])
-    return buf.getvalue()
-
-
 def cmd_regularity(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    seq = _require_sequence(w, "regularity")
-    dist, net = _embed(cfg, seq)
+    dist, net = _embed(cfg, "regularity")
     netw = window_net(net, cfg.window_center, cfg.window_radius)
-    verdict = regularity_test(netw, cfg.mode, seq)
+    verdict = regularity_test(netw)
     report = {
         "distribution": {"kind": dist.kind},
         "window": {"center": cfg.window_center,
@@ -384,11 +375,8 @@ def cmd_regularity(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_wavefront(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    seq = _require_sequence(w, "wavefront")
-    dist, net = _embed(cfg, seq)
-    rep = wavefront(net, cfg.wf_centers, cfg.wf_radius, mode=cfg.mode,
-                    seq=seq)
+    dist, net = _embed(cfg, "wavefront")
+    rep = wavefront(net, cfg.wf_centers, cfg.wf_radius)
     report = {
         "distribution": {"kind": dist.kind},
         "wavefront": rep.to_json(),
@@ -403,17 +391,13 @@ def cmd_wavefront(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def cmd_impossibility_demo(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    seq = _require_sequence(w, "impossibility-demo")
-    grid, ladder, moll = _rig(cfg)
-    h = regularize(ModelDistribution("heaviside"), moll, ladder, grid,
-                   mode=cfg.mode, weight=seq)
+    _, h = _embed(replace(cfg, dist="heaviside"), "impossibility-demo")
     defect = combine(combine(h, h, "mul"), h, "sub")  # H^2 - H
-    origin = GeneralizedPoint(ladder,
-                              np.zeros((ladder.count, 1)), (-1.0, 1.0))
+    origin = GeneralizedPoint(h.ladder, np.zeros((h.ladder.count, 1)),
+                              (-1.0, 1.0))
     vals = point_value(defect, origin)
     scale = float(defect.sups.max())
-    verdict = classify_generalized_number(vals, seq, cfg.mode,
+    verdict = classify_generalized_number(vals, defect.weight, defect.mode,
                                           reference_scale=scale)
     report = {
         "statement": "the pointwise square of the embedded step differs "
@@ -422,25 +406,24 @@ def cmd_impossibility_demo(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "verdict": {"classification": verdict.classification,
                     "non_negligible": not verdict.negligible},
     }
-    csvs = {"values.csv": _trace_csv("value", ladder,
-                                     np.real(vals.values))}
+    csvs = {"values.csv": _ladder_csv(h.ladder,
+                                      {"value": np.real(vals.values)})}
     return report, csvs
 
 
 def cmd_bb_classify(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    w = parse_weight(cfg.weight)
-    omega = _require_omega(w, "bb-classify")
+    omega = _checked_weight(cfg, WeightFunction, "bb-classify")
     dist, net = _embed(cfg)
     netw = window_net(net, cfg.window_center, cfg.window_radius)
-    verdict = classify_net_bb(netw, omega, cfg.mode)
+    verdict = classify_net_bb(netw, omega)
     report = {
         "mode": "bb",
         "weight_function": omega.to_json(),
         "distribution": {"kind": dist.kind},
         "verdict": verdict.to_json(),
     }
-    csvs = {"fl_norms.csv": _trace_csv("log_fl1_lambda1", netw.ladder,
-                                       verdict.log_ladders[1.0])}
+    csvs = {"fl_norms.csv": _ladder_csv(
+        netw.ladder, {"log_fl1_lambda1": verdict.log_ladders[1.0]})}
     return report, csvs
 
 

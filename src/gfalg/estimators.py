@@ -152,7 +152,7 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
             if coarse.n == top.n:
                 powers = None  # no rung grid is larger
             box_coarse = _box_slices(coarse, box)
-        _warn_boundary_mass(eps, fr, a.sups[j], warn_label, stacklevel=4)
+        _warn_boundary_mass(eps, fr, a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
         for i, sym in enumerate(symbols, start=1):
             deriv = inverse(fhat * sym, coarse, half=half)
@@ -201,7 +201,8 @@ def classify_net(a: NetFunction, box, mode: str = None,
     Moderation samples derivative-graded seminorms over the h grid;
     negligibility is decided on the 0-th order sup-norm alone (the null
     characterization licenses exactly this shortcut).  One table of
-    derivative sups serves every h, so each frame is transformed once.
+    derivative sups serves every h and, in its row 0, negligibility, so
+    each frame is transformed once.
     """
     mode = mode or a.mode
     seq = _require_sequence(a, seq)
@@ -210,8 +211,7 @@ def classify_net(a: NetFunction, box, mode: str = None,
     with np.errstate(divide="ignore"):
         log_ladders = {h: np.log(_graded(alphas, sups, h, seq))
                        for h in MODERATION_H_GRID}
-    order0 = _graded(alphas[:1], sups[:1], 1.0, seq)
-    return classify_growth(SequenceScale(seq, a.ladder), log_ladders, order0,
+    return classify_growth(SequenceScale(seq, a.ladder), log_ladders, sups[0],
                            float(a.sups.max()), mode)
 
 
@@ -228,19 +228,22 @@ class LKReport:
 def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
                             n: int) -> LKReport:
     """Check sup_{|a|=k} ||f^(a)|| <= 2 pi d^k ||f||^{1-k/n} *
-    (sup_{|a|=n} ||f^(a)||)^{k/n} with spectral derivative sups."""
+    (sup_{|a|=n} ||f^(a)||)^{k/n} with spectral derivative sups, taken on
+    the half axis for real 1-D samples, as in :func:`_derivative_sups`."""
     if not 0 < k < n <= 8:
         raise ValueError("need 0 < k < n <= 8")
     f = np.asarray(f)
     if f.shape != grid.shape:
         raise ValueError("samples do not match the grid")
     d = grid.dim
-    fhat = forward(f, grid)
+    half = d == 1 and np.isrealobj(f)
+    fhat = forward(f, grid, half=half)
     alphas = [alpha for alpha in _multi_indices(d, n) if sum(alpha) in (k, n)]
-    powers = _axis_powers(grid, alphas)
+    powers = _axis_powers(grid, alphas, half)
     sups = {k: 0.0, n: 0.0}
     for alpha in alphas:
-        deriv = inverse(fhat * _symbol(powers, grid, grid, alpha), grid)
+        deriv = inverse(fhat * _symbol(powers, grid, grid, alpha, half), grid,
+                        half=half)
         sups[sum(alpha)] = max(sups[sum(alpha)], float(np.max(np.abs(deriv))))
     norm0 = float(np.max(np.abs(f)))
     lhs, sup_n = sups[k], sups[n]

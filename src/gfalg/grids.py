@@ -190,11 +190,14 @@ def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
     """The nodes |k| <= n/2 of a spectrum, or of a dual axis, on the fine
     grid, laid out on the coarse grid of n nodes per axis (both grids share
     the dual spacing pi/L).  The nodes +-n/2 fall on the coarse Nyquist
-    node, where the derivative symbols of a cut grid are 0."""
+    node, where the derivative symbols of a cut grid are 0.  A half
+    spectrum is cut on the half axis alone: a half plane is refused."""
     if coarse.n == fine.n:
         return fhat
     h = coarse.n // 2
     if half:
+        if fhat.ndim != 1:
+            raise ValueError("a half plane cannot be cut to a coarser grid")
         return fhat[: h + 1]
     keep = np.r_[:h, fine.n - h:fine.n]
     return fhat[np.ix_(*(keep,) * fhat.ndim)]

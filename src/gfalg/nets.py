@@ -216,16 +216,17 @@ def _edge_mass(frame: np.ndarray) -> float:
 
 
 def _warn_boundary_mass(eps: float, frame: np.ndarray, sup: float,
-                        warn_label: str, stacklevel: int) -> None:
+                        warn_label: str) -> None:
     """RuntimeWarning when a frame about to get a Fourier multiplier
     carries boundary mass above 1e-8 of its ``sup``: periodic wrap-around
-    would pollute the result.  ``stacklevel`` counts from this helper."""
+    would pollute the result.  It names the line that called the public
+    function, whose private helper calls this one."""
     if sup > 0 and _edge_mass(frame) > 1e-8 * sup:
         warnings.warn(
             f"{warn_label}: frame at eps={eps:.6g} carries boundary mass "
             f"above 1e-8 of its sup; periodic wrap-around will pollute "
             f"the result (window the net first)",
-            RuntimeWarning, stacklevel=stacklevel)
+            RuntimeWarning, stacklevel=4)
 
 
 def _spectrum(a: NetFunction, j: int, half: bool, grid=None) -> np.ndarray:
@@ -268,8 +269,7 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
               if half else sum(b * sym for b, sym in terms))
     frames = []
     for j, eps in enumerate(a.ladder.values):
-        _warn_boundary_mass(eps, a.frames[j], a.sups[j], warn_label,
-                            stacklevel=4)
+        _warn_boundary_mass(eps, a.frames[j], a.sups[j], warn_label)
         fhat = _spectrum(a, j, half)
         if half:
             out = np.zeros(fine.n, dtype=complex)

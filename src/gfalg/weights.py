@@ -186,14 +186,25 @@ def resolved_for(seq: WeightSequence, t_needed: float) -> WeightSequence:
         f"but t ~ {t_needed:.6g} is required; {fix}", seq.t_saturation)
 
 
-def check_conditions(seq: WeightSequence) -> ConditionReport:
-    """Certify (M.1), (M.2) and the (M.3)' ratio-test heuristic.
+def m2_constant(seq: WeightSequence) -> float:
+    """The (M.2) constant H of a log-convex table, A pinned to 1 by the
+    p=q=0 case (M_0 = 1): the smallest power of two up to 2^12 making the
+    log-scale inequality hold for all p+q <= p_max, or inf.  Under (M.1)
+    the split min_p (log M_p + log M_{r-p}) of each r is taken at
+    p = r // 2, so H needs no search over p."""
+    lm = seq.log_m
+    # smallest admissible log H: max over r of (log M_r - min_p (log M_p + log M_{r-p}))/r
+    r = np.arange(1, seq.p_max + 1)
+    split_min = lm[r // 2] + lm[r - r // 2]
+    log_h_req = max(0.0, float(np.max((lm[r] - split_min) / r)))
+    h_grid = 2.0 ** np.arange(0, 13)
+    ok = h_grid >= math.exp(min(log_h_req, _LOG_T_MAX)) * (1.0 - 1e-12)
+    return float(h_grid[np.argmax(ok)]) if np.any(ok) else math.inf
 
-    (M.2) constants: A is pinned to 1 by the p=q=0 case (M_0 = 1) and H is
-    the smallest power of two making the log-scale inequality hold for all
-    p+q <= p_max.  Under (M.1) the split min_p (log M_p + log M_{r-p}) of
-    each r is taken at p = r // 2, so H needs no search over p.
-    """
+
+def check_conditions(seq: WeightSequence) -> ConditionReport:
+    """Certify (M.1), (M.2) (:func:`m2_constant`) and the (M.3)'
+    ratio-test heuristic."""
     if seq.p_max < 64:
         raise ValueError("check_conditions requires p_max >= 64")
     m1_ok = seq.is_log_convex()
@@ -206,20 +217,7 @@ def check_conditions(seq: WeightSequence) -> ConditionReport:
             m3prime_converges=False,
         )
 
-    lm = seq.log_m
-    # smallest admissible log H: max over r of (log M_r - min_p (log M_p + log M_{r-p}))/r
-    r = np.arange(1, seq.p_max + 1)
-    split_min = lm[r // 2] + lm[r - r // 2]
-    log_h_req = max(0.0, float(np.max((lm[r] - split_min) / r)))
-    h_grid = 2.0 ** np.arange(0, 13)
-    ok = h_grid >= math.exp(min(log_h_req, _LOG_T_MAX)) * (1.0 - 1e-12)
-    if np.any(ok):
-        H = float(h_grid[np.argmax(ok)])
-        m2_ok = True
-    else:
-        H = math.inf
-        m2_ok = False
-
+    H = m2_constant(seq)
     ratios = np.exp(-seq.increments)  # M_{p-1}/M_p
     partial = float(np.sum(ratios))
     # heuristic: tail log-log slope of the ratios against p^{-(1+delta)}
@@ -230,7 +228,7 @@ def check_conditions(seq: WeightSequence) -> ConditionReport:
 
     return ConditionReport(
         m1_ok=True,
-        m2_ok=m2_ok,
+        m2_ok=math.isfinite(H),
         m2_constants=(1.0, H),
         m3prime_partial_sum=partial,
         m3prime_converges=converges,

@@ -250,8 +250,10 @@ class TestHalfSpectrumNorms:
         omega = w(g2.dual_radius())
         half = _log_norm(_log_spectrum(forward(f, g2, half=True), g2, omega),
                          g2, 1.0, p)
-        # fl_norm keeps the full transform in 2-D
-        full = np.log(fl_norm(f, g2, w, 1.0, p))
+        # fl_norm reads the half plane; the full spectrum is written out
+        assert np.log(fl_norm(f, g2, w, 1.0, p)) == pytest.approx(
+            half, rel=0, abs=1e-12)
+        full = _log_norm(_log_spectrum(forward(f, g2), g2, omega), g2, 1.0, p)
         assert abs(half - full) <= self._bound(f, g2, w, 1.0, p,
                                                np.exp(full))
 
@@ -303,6 +305,29 @@ class TestTransformCounts:
             spectral_derivative(a, 3)
             apply_ultradiff(UltradiffOperator(COEFFS["complex"], seq,
                                               1.0, 1.0), a)
+        assert full_transforms == []
+
+    def test_real_input_takes_no_full_transform_in_any_dimension(
+            self, grid, ladder, full_transforms):
+        """The weighted Fourier--Lebesgue norms, the FL1 ladders and the
+        Landau--Kolmogorov check read real samples on the half spectrum;
+        only the 2-D derivative symbols keep the full grid."""
+        w = WeightFunction.log_one_plus_t()
+        g2 = GridSpec(2, 5.0, 256)
+
+        def bump(*xs):
+            return np.exp(-sum((i + 1) * x ** 2 for i, x in enumerate(xs)))
+
+        for g in (grid, g2):
+            f = bump(*g.points())
+            for p in ("1", "2", "inf"):
+                fl_norm(f, g, w, 1.0, p)
+            bb.norm_equivalence_check(f, g, w, 1.0)
+            classify_net_bb(constant_embed(bump, ladder, g), w, "roumieu")
+        x = grid.axis()
+        estimators.landau_kolmogorov_check(np.exp(-x ** 2), grid, 1, 2)
+        estimators.landau_kolmogorov_check(
+            np.exp(-x ** 2) * np.sin(5.0 * x), grid, 2, 4)
         assert full_transforms == []
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import gfalg
 from gfalg.cli import main
+from gfalg.weights import WeightSequence
 
 
 def run(tmp_path, *argv, name="out"):
@@ -252,6 +253,41 @@ class TestBbClassifyReusesLadder:
         assert len(rows) == 1 + rep["config"]["ladder_count"]
 
 
+class TestModeAndWeightFromTheNet:
+    """The commands pass each classifier the net alone (and a box, centres
+    or a weight function): mode and weight sequence come from the net."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("embed", "classify_net"), ("classify", "classify_net"),
+        ("regularity", "regularity_test"), ("wavefront", "wavefront"),
+        ("bb-classify", "classify_net_bb")])
+    def test_no_mode_or_sequence_is_passed(self, tmp_path, monkeypatch,
+                                           command, target):
+        from gfalg import cli
+        seen = []
+        real = getattr(cli, target)
+
+        def spy(net, *args, **kwargs):
+            seen.append((net.mode, args, kwargs))
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(cli, target, spy)
+        weight = "omega:log1p" if command == "bb-classify" else "gevrey:2"
+        code, _, rep = run(tmp_path, command, "--mode", "roumieu",
+                           "--weight", weight, "--ladder", "0.125,0.5,6")
+        assert code == 0
+        ((mode, args, kwargs),) = seen
+        assert mode == "roumieu" and kwargs == {}
+        assert not any(isinstance(a, (str, WeightSequence)) for a in args)
+        mode_path = {"embed": None, "wavefront": ("wavefront", "mode")}.get(
+            command, ("verdict", "mode"))
+        if mode_path:
+            node = rep["results"]
+            for key in mode_path:
+                node = node[key]
+            assert node.endswith("roumieu")
+
+
 class TestWeightsCheckOrders:
     @pytest.mark.parametrize("s,H", [("1.25", 4.0), ("1.5", 4.0),
                                      ("2.2", 8.0), ("2.5", 8.0)])
@@ -295,6 +331,33 @@ class TestWeightsCheckDeepTable:
         assert cond["m2_ok"] and cond["m2_functional_ok"]
         deep = resolved_for(WeightSequence.gevrey(float(s)), H * 1e6)
         assert check_conditions(deep).m2_constants == (1.0, H)
+
+    def test_the_deep_table_moves_h(self, tmp_path, monkeypatch):
+        # gevrey:1.01 reads H = 2 on its 256-entry table and H = 4 on the
+        # 2 165 492-entry table that resolves M(2 t) up to t = 1e6; the
+        # deep table's H is read by m2_constant alone, not by the whole
+        # check_conditions
+        from gfalg import cli
+        from gfalg.weights import (WeightSequence, check_conditions,
+                                   m2_constant, resolved_for)
+        w = WeightSequence.gevrey(1.01)
+        assert w.p_max == 256
+        assert check_conditions(w).m2_constants == (1.0, 2.0)
+        deep = resolved_for(w, 2.0 * 1e6)
+        assert deep.p_max == 2165492
+        assert m2_constant(deep) == 4.0
+        checked = []
+        real = cli.check_conditions
+
+        def counted(seq):
+            checked.append(seq.p_max)
+            return real(seq)
+
+        monkeypatch.setattr(cli, "check_conditions", counted)
+        code, _, rep = run(tmp_path, "weights-check", "--weight", "gevrey:1.01")
+        assert code == 0
+        assert rep["results"]["conditions"]["m2_constants"]["H"] == 4.0
+        assert checked == [256]
 
 
 class TestContractGaps:

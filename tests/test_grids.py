@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfalg
-from gfalg.grids import GridSpec, forward, integrate, inverse
+from gfalg.grids import GridSpec, _band, forward, integrate, inverse
 
 
 class TestGridSpec:
@@ -167,6 +167,27 @@ class TestOneTransformCall:
             <= fwd_bound
         assert np.max(np.abs(inverse(f, g) - self._per_axis(f, g, False))) \
             <= inv_bound
+
+
+class TestBandCut:
+    """``_band`` cuts a half spectrum on its half axis, which in 2-D is the
+    last axis: a half plane is refused rather than cut along its rows."""
+
+    def test_half_axis_is_its_prefix(self):
+        fine, coarse = GridSpec(1, 5.0, 512), GridSpec(1, 5.0, 256)
+        fhat = forward(np.random.default_rng(1).standard_normal(512), fine,
+                       half=True)
+        assert np.array_equal(_band(fhat, fine, coarse, True), fhat[:129])
+
+    def test_half_plane_is_refused(self):
+        fine, coarse = GridSpec(2, 5.0, 512), GridSpec(2, 5.0, 256)
+        fhat = forward(np.random.default_rng(2).standard_normal(fine.shape),
+                       fine, half=True)
+        with pytest.raises(ValueError, match="half plane"):
+            _band(fhat, fine, coarse, True)
+        # on its own grid a half plane passes through, as every 2-D window
+        # of the decay sups does
+        assert _band(fhat, fine, fine, True) is fhat
 
 
 _TWO_PIPELINES = """

@@ -243,6 +243,34 @@ class TestPointValues:
             GeneralizedPoint(ladder, np.full((ladder.count, 1), 3.0),
                              (0.0, 1.0))
 
+    def test_2d_bilinear_interpolation(self, small_rig):
+        # bilinear interpolation reproduces a bilinear function exactly, up
+        # to round-off, at any point of the grid, its last nodes included
+        _, ladder, seq = small_rig
+        grid = GridSpec(2, 5.0, 256)
+
+        def f(x, y):
+            return 1.5 - 0.5 * x + 2.0 * y + 0.25 * x * y
+
+        a = constant_embed(f, ladder, grid, weight=seq)
+        axis = grid.axis()
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(axis[0], axis[-1], size=(ladder.count, 2))
+        pts[0] = axis[-1]
+        pts[1] = (axis[0], axis[-1])
+        box = (axis[0], axis[-1])
+        vals = point_value(a, GeneralizedPoint(ladder, pts, box))
+        u = np.finfo(float).eps / 2
+        tol = 32 * u * float(np.max(np.abs(a.frames[0])))
+        np.testing.assert_allclose(vals.values, f(pts[:, 0], pts[:, 1]),
+                                   rtol=0, atol=tol)
+        # past the last node, though inside the declared box
+        past = pts.copy()
+        past[2, 1] = 0.5 * (axis[-1] + grid.half_width)
+        with pytest.raises(ValueError, match="leaves the grid"):
+            point_value(a, GeneralizedPoint(ladder, past,
+                                            (axis[0], grid.half_width)))
+
 
 class TestNumberClassification:
     def _number(self, ladder, fn):
