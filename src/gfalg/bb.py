@@ -90,6 +90,14 @@ def _log_norm(spectrum: tuple, grid: GridSpec, lam: float, variant) -> float:
     return float((total + log_dxi) / p)
 
 
+def _linear(log_norm: float) -> float:
+    """A log norm as a float: inf above LOG_SPACE_GUARD, else its exp
+    (0.0 for the zero function's -inf)."""
+    if log_norm > LOG_SPACE_GUARD:
+        return float(np.inf)
+    return float(np.exp(log_norm))
+
+
 def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
             variant="1") -> float:
     """Weighted Fourier--Lebesgue norm of edge-negligible samples:
@@ -100,12 +108,7 @@ def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
     if str(variant) not in ("1", "2", "inf"):
         raise ValueError('variant must be one of "1", "2", "inf"')
     spectrum = _sample_spectrum(f, grid, w, "fl_norm")
-    ln = _log_norm(spectrum, grid, lam, str(variant))
-    if ln == -np.inf:
-        return 0.0
-    if ln > LOG_SPACE_GUARD:
-        return float(np.inf)
-    return float(np.exp(ln))
+    return _linear(_log_norm(spectrum, grid, lam, str(variant)))
 
 
 @dataclass(frozen=True)
@@ -190,16 +193,13 @@ def norm_equivalence_check(f: np.ndarray, grid: GridSpec, w: WeightFunction,
             norm_two=0.0, norm_inf_shifted=0.0, c_lower=0.0, c_upper=0.0,
             lower_holds=True, upper_holds=True, l2_holds=True)
 
-    def lin(x):
-        return float(np.exp(x)) if x <= LOG_SPACE_GUARD else float(np.inf)
-
     c_lower = np.exp(log_one - log_inf)
     c_upper = np.exp(log_one - log_inf_sh)
     l2_holds = bool(2.0 * log_two <= log_inf + log_one + 1e-9)
     return NormEquivalenceReport(
-        lam=lam, lam_shift=float(shift), norm_inf=lin(log_inf),
-        norm_one=lin(log_one), norm_two=lin(log_two),
-        norm_inf_shifted=lin(log_inf_sh),
+        lam=lam, lam_shift=float(shift), norm_inf=_linear(log_inf),
+        norm_one=_linear(log_one), norm_two=_linear(log_two),
+        norm_inf_shifted=_linear(log_inf_sh),
         c_lower=float(c_lower), c_upper=float(c_upper),
         lower_holds=bool(np.isfinite(c_lower) and c_lower > 0),
         upper_holds=bool(np.isfinite(c_upper) and c_upper > 0),

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import rung_oversample
-from .grids import GridSpec, _axis_powers, _symbol, forward, inverse
+from .grids import GridSpec, _symbols, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
                    _bounded_residual, _spectrum, _warn_boundary_mass,
                    classify_growth)
@@ -119,10 +119,8 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     (:func:`nets._spectrum`), and each alpha != 0 costs one inverse of
     size n_j, whose sup is read at that grid's box nodes.
     Frames are processed one at a time, and m_j does not decrease along
-    the ladder, so one grid's symbols are held at a time.  The powers
-    (-xi)^k are built once, on the largest rung grid, each rung grid's
-    symbols are read from them (:func:`_symbol`), and the powers are
-    dropped once the largest grid's symbols are read.
+    the ladder, so each rung grid's symbols (:func:`grids._symbols`) are
+    built once, on that grid, and one grid's symbols are held at a time.
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
@@ -137,8 +135,6 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     sups = np.zeros((len(alphas), a.ladder.count))
     if alpha_max:
         rung_m = _rung_oversamples(a, box)
-        top = a.grid.refine(max(rung_m))
-        powers = _axis_powers(top, alphas[1:], half)
     coarse = None
     for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
         sups[0, j] = np.abs(fr[box_fine]).max()
@@ -146,11 +142,8 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
             continue
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
             coarse = a.grid.refine(rung_m[j])
-            cut = coarse.n < fine.n
-            symbols = [_symbol(powers, top, coarse, alpha, half, cut)
-                       for alpha in alphas[1:]]
-            if coarse.n == top.n:
-                powers = None  # no rung grid is larger
+            symbols = _symbols(coarse, alphas[1:], half,
+                               cut=coarse.n < fine.n)
             box_coarse = _box_slices(coarse, box)
         _warn_boundary_mass(eps, fr, a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
@@ -239,11 +232,9 @@ def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
     half = d == 1 and np.isrealobj(f)
     fhat = forward(f, grid, half=half)
     alphas = [alpha for alpha in _multi_indices(d, n) if sum(alpha) in (k, n)]
-    powers = _axis_powers(grid, alphas, half)
     sups = {k: 0.0, n: 0.0}
-    for alpha in alphas:
-        deriv = inverse(fhat * _symbol(powers, grid, grid, alpha, half), grid,
-                        half=half)
+    for alpha, sym in zip(alphas, _symbols(grid, alphas, half)):
+        deriv = inverse(fhat * sym, grid, half=half)
         sups[sum(alpha)] = max(sups[sum(alpha)], float(np.max(np.abs(deriv))))
     norm0 = float(np.max(np.abs(f)))
     lhs, sup_n = sups[k], sups[n]
@@ -385,15 +376,24 @@ def _pattern_search(sups_by_h, growth: dict, mode: str):
     return "not_regular", {f"{witness}_tried_max": float(found)}, residuals
 
 
+def _decay_tests(a: NetFunction, node_masks, mode: str,
+                 seq: WeightSequence = None) -> list:
+    """The mode's quantifier pattern (:func:`_pattern_search`) over
+    PATTERN_GRID, run on the weighted transform sups of each node mask
+    (:func:`_log_transform_sups`): one (verdict, witness, residuals) per
+    mask."""
+    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
+    per_mask = _log_transform_sups(a, PATTERN_GRID, scale, node_masks)
+    growth = scale.growth(PATTERN_GRID)
+    return [_pattern_search(sups, growth, mode) for sups in per_mask]
+
+
 def regularity_test(a: NetFunction, mode: str = None,
                     seq: WeightSequence = None) -> RegularityVerdict:
     """Uniform Fourier-decay regularity of a compactly supported net:
     does |fhat_eps(xi)| e^{M(|xi|/h)} stay O(e^{M(k/eps)}) in the mode's
     quantifier pattern over the (k, h) grid?"""
     mode = mode or a.mode
-    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
-    (sups,) = _log_transform_sups(a, PATTERN_GRID, scale, [None])
-    verdict, witness, residuals = _pattern_search(
-        sups, scale.growth(PATTERN_GRID), mode)
+    ((verdict, witness, residuals),) = _decay_tests(a, [None], mode, seq)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

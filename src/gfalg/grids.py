@@ -187,11 +187,11 @@ def integrate(f: np.ndarray, grid: GridSpec) -> float | complex:
 
 def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
           half: bool) -> np.ndarray:
-    """The nodes |k| <= n/2 of a spectrum, or of a dual axis, on the fine
-    grid, laid out on the coarse grid of n nodes per axis (both grids share
-    the dual spacing pi/L).  The nodes +-n/2 fall on the coarse Nyquist
-    node, where the derivative symbols of a cut grid are 0.  A half
-    spectrum is cut on the half axis alone: a half plane is refused."""
+    """The nodes |k| <= n/2 of a spectrum on the fine grid, laid out on the
+    coarse grid of n nodes per axis (both grids share the dual spacing
+    pi/L).  The nodes +-n/2 fall on the coarse Nyquist node, where the
+    derivative symbols of a cut grid are 0.  A half spectrum is cut on the
+    half axis alone: a half plane is refused."""
     if coarse.n == fine.n:
         return fhat
     h = coarse.n // 2
@@ -203,22 +203,30 @@ def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
     return fhat[np.ix_(*(keep,) * fhat.ndim)]
 
 
-def _axis_powers(grid: GridSpec, alphas, half: bool = False) -> dict:
-    """(-xi)^k on the grid's dual axis (its half axis with ``half``), for
-    every order k that an axis of the multi-indices ``alphas`` takes.
+def _symbols(grid: GridSpec, alphas, half: bool = False,
+             cut: bool = False) -> list:
+    """The Fourier symbols (-xi)^alpha of D^alpha = (-i d/dx)^alpha on
+    ``grid``, under the convention fhat(xi) = int f e^{+i x xi} dx, one per
+    multi-index of ``alphas``, built from the grid's own dual axis (its half
+    axis with ``half``).
 
-    The powers are repeated products from ones, (-xi)^k = (-xi)^(k-1) *
-    (-xi), within (k - 1) u of the exact power: ``**`` calls the C
-    library's ``pow`` for every exponent but 0, 1 and 2, at about 100
-    times the cost of a product."""
+    The axis factors (-xi)^k are repeated products from ones, (-xi)^k =
+    (-xi)^(k-1) * (-xi), shared by the call's multi-indices and within
+    (k - 1) u of the exact power: ``**`` calls the C library's ``pow`` for
+    every exponent but 0, 1 and 2, at about 100 times the cost of a
+    product.  On a grid ``cut`` from a finer one, each differentiated
+    axis' factor is 0 at that axis' Nyquist node, onto which the cut folds
+    the two nodes +-pi/dx.  On the half axis the symbol is i^k (-xi)^k,
+    that of the plain derivative f^(k) = i^k D^k f: Hermitian, so f^(k) is
+    real, and |f^(k)| = |D^k f| (in 1-D: no half axis is a half plane)."""
     if half and grid.dim != 1:
-        raise ValueError("half-axis powers are 1-D only")
-    orders = set()
+        raise ValueError("half-axis symbols are 1-D only")
+    alphas = list(alphas)
     for alpha in alphas:
         if len(alpha) != grid.dim or any(k < 0 for k in alpha):
             raise ValueError("alpha must be a non-negative multi-index of "
                              "the grid dimension")
-        orders.update(alpha)
+    orders = {k for alpha in alphas for k in alpha}
     neg_xi = -(grid.half_dual_axis() if half else grid.dual_axis())
     powers, power = {}, np.ones_like(neg_xi)
     for k in range(max(orders, default=-1) + 1):
@@ -226,32 +234,15 @@ def _axis_powers(grid: GridSpec, alphas, half: bool = False) -> dict:
             power = power * neg_xi
         if k in orders:
             powers[k] = power
-    return powers
-
-
-def _symbol(powers: dict, top: GridSpec, grid: GridSpec, alpha,
-            half: bool = False, cut: bool = False) -> np.ndarray:
-    """The Fourier symbol (-xi)^alpha of D^alpha = (-i d/dx)^alpha on
-    ``grid``, under the convention fhat(xi) = int f e^{+i x xi} dx, read
-    from the ``powers`` (:func:`_axis_powers`) of a grid ``top`` at least as
-    fine.  Every refinement of a grid shares the dual spacing pi/L, so each
-    axis factor is the band of ``top``'s powers (:func:`_band`), bitwise.
-
-    On a grid ``cut`` from a finer one, each differentiated axis' factor is
-    0 at that axis' Nyquist node, onto which the cut folds the two nodes
-    +-pi/dx; the half axis of ``top`` holds +pi/dx there, so a smaller grid
-    is read from it only cut.  On the half axis the symbol is i^k (-xi)^k,
-    that of the plain derivative f^(k) = i^k D^k f: Hermitian, so f^(k) is
-    real, and |f^(k)| = |D^k f| (in 1-D: no half axis is a half plane)."""
-    if half and grid.dim != 1:
-        raise ValueError("half-axis symbols are 1-D only")
-    factors = []
-    for k in alpha:
-        factor = _band(powers[k], top, grid, half)
-        if k and cut:
-            factor = factor.copy()
-            factor[grid.n // 2] = 0.0
-        factors.append(factor)
-    if half:
-        factors[0] = _I_POWERS[alpha[0] % 4] * factors[0]
-    return factors[0] if grid.dim == 1 else np.multiply.outer(*factors)
+    if cut:
+        for k, power in powers.items():
+            if k:
+                power[grid.n // 2] = 0.0
+    symbols = []
+    for alpha in alphas:
+        factors = [powers[k] for k in alpha]
+        if half:
+            factors[0] = _I_POWERS[alpha[0] % 4] * factors[0]
+        symbols.append(factors[0] if grid.dim == 1
+                       else np.multiply.outer(*factors))
+    return symbols

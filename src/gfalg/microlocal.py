@@ -12,10 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResolutionError
-from .estimators import (PATTERN_GRID, _log_transform_sups, _pattern_search,
-                         _require_sequence)
+from .estimators import _decay_tests
 from .grids import GridSpec
-from .nets import NetFunction, SequenceScale, _window_center, _windowed_frames
+from .nets import NetFunction, _window_center, _windowed_frames
 from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
@@ -145,17 +144,14 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     cone is regular when the mode's (k, h) quantifier pattern bounds the
     cone-restricted weighted transform sup along the ladder."""
     mode = mode or a.mode
-    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
         raise ValueError("cone partition dimension mismatch")
     masks = _cone_masks(cones, a.fine_grid, a.real)
-    per_cone = _log_transform_sups(a, PATTERN_GRID, scale, masks)
-    growth = scale.growth(PATTERN_GRID)
     out = []
-    for cone, sups in zip(cones.cones, per_cone):
-        verdict, witness, _ = _pattern_search(sups, growth, mode)
+    for cone, (verdict, witness, _) in zip(cones.cones,
+                                            _decay_tests(a, masks, mode, seq)):
         out.append(ConeVerdict(
             cone=cone, witness=witness,
             verdict="regular" if verdict == "regular" else "singular"))
@@ -236,8 +232,6 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
     frames are bitwise the block of the fine-grid windowed frames; the
     decay test reads the box's spectra."""
     mode = mode or a.mode
-    if cones is None:
-        cones = ConePartition.default(a.grid.dim)
     fine = a.fine_grid
     keys = []
     entries = []

@@ -16,8 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError
-from .grids import (_I_POWERS, GridSpec, _alternate, _axis_powers, _band,
-                    _symbol, forward, inverse)
+from .grids import (_I_POWERS, GridSpec, _alternate, _band, _symbols,
+                    forward, inverse)
 from .mollifier import plateau_window
 from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
                       resolved_for)
@@ -260,10 +260,9 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
     sum Im(b_k) f^(k), take one real-pair inverse each, if any b_k has one."""
     fine = a.fine_grid
     half = a.grid.dim == 1 and a.real
-    powers = _axis_powers(fine, coeffs, half)
-    terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c,
-              _symbol(powers, fine, fine, alpha, half))
-             for alpha, c in coeffs.items()]
+    terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c, sym)
+             for (alpha, c), sym in zip(coeffs.items(),
+                                        _symbols(fine, coeffs, half))]
     symbol = ({"real": sum(b.real * sym for b, sym in terms if b.real),
                "imag": sum(b.imag * sym for b, sym in terms if b.imag)}
               if half else sum(b * sym for b, sym in terms))
@@ -332,10 +331,10 @@ class UltradiffOperator:
 
     def symbol(self, grid: GridSpec) -> np.ndarray:
         """P(-xi): the Fourier multiplier of Sum a_alpha D^alpha."""
-        powers = _axis_powers(grid, self.coeffs)
         sym = np.zeros(grid.shape, dtype=complex)
-        for alpha, val in self.coeffs.items():
-            sym += val * _symbol(powers, grid, grid, alpha)
+        for val, term in zip(self.coeffs.values(),
+                             _symbols(grid, self.coeffs)):
+            sym += val * term
         return sym
 
 

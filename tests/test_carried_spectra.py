@@ -7,7 +7,7 @@ spectrum is read on the half axis.
   into, within the FFT error bound, and no derived net may carry it.
 * ``_apply_symbol`` and ``bb`` read real 1-D frames on the half axis; they
   must agree with the full-spectrum path within the FFT error bound.
-* The half-axis symbol builders refuse 2-D grids, whose half spectrum is a
+* The half-axis symbol builder refuses 2-D grids, whose half spectrum is a
   half plane.
 
 Error bounds follow Higham, Accuracy and Stability of Numerical
@@ -26,7 +26,7 @@ from gfalg.bb import (_log_norm, _log_spectrum, classify_net_bb,
                       colombeau_crosscheck, fl_norm)
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.estimators import classify_net
-from gfalg.grids import GridSpec, _axis_powers, _symbol, forward
+from gfalg.grids import GridSpec, _symbols, forward
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, _apply_symbol,
                         _spectrum, apply_ultradiff, combine, constant_embed,
                         scale, spectral_derivative, window_net)
@@ -332,12 +332,7 @@ class TestTransformCounts:
 
 
 class TestHalfAxisBuildersAre1D:
-    def test_powers_refuse_a_2d_half_axis(self):
+    @pytest.mark.parametrize("alpha", [(1, 0), (1, 1)])
+    def test_symbols_refuse_a_2d_half_axis(self, alpha):
         with pytest.raises(ValueError):
-            _axis_powers(GridSpec(2, 5.0, 256), [(1, 0)], half=True)
-
-    def test_symbol_refuses_a_2d_half_axis(self):
-        g = GridSpec(2, 5.0, 256)
-        powers = _axis_powers(g, [(1, 1)])
-        with pytest.raises(ValueError):
-            _symbol(powers, g, g, (1, 1), half=True)
+            _symbols(GridSpec(2, 5.0, 256), [alpha], half=True)

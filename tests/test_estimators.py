@@ -56,13 +56,15 @@ class TestClassification:
     def test_delta_moderate_both_modes(self, catalog):
         net = catalog("delta")
         for mode in ("beurling", "roumieu"):
-            v = classify_net(net, (-5.0, 5.0), mode=mode)
+            with pytest.warns(RuntimeWarning, match="boundary mass"):
+                v = classify_net(net, (-5.0, 5.0), mode=mode)
             assert v.classification == "moderate"
 
     def test_delta_tail_negligible_roumieu(self, catalog):
         # away from the singular support the frames fall below every
         # exp(-M(k/eps)) threshold the some-k test demands
-        v = classify_net(catalog("delta"), (2.0, 10.0), mode="roumieu")
+        with pytest.warns(RuntimeWarning, match="boundary mass"):
+            v = classify_net(catalog("delta"), (2.0, 10.0), mode="roumieu")
         assert v.negligible
 
     def test_difference_with_self_negligible(self, catalog):

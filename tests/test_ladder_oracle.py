@@ -16,6 +16,16 @@ and below 2e-16 from eps = 2^-4 on, where D^alpha phi_eps(2L) =
 eps^(-1-alpha) D^alpha phi(2L/eps) has fallen under the round-off of I(0);
 the image at 4L is below round-off from the first rung.
 
+pv(1/x) has the spectrum i pi sign(xi), whose symbol (-xi)^alpha keeps one
+phase at odd alpha, and its images decay algebraically: for |x| >= 2L,
+D^alpha(pv(1/x) * phi_eps) is D^alpha(1/x) = i^alpha alpha! / x^(alpha+1) up
+to the Gevrey tail of phi_eps, so sum_{m != 0} I(2Lm) =
+2 s_alpha alpha! zeta(alpha + 1) / (2L)^(alpha+1) with s_alpha =
+(-1)^((alpha+1)/2).  The images at +-2L are taken by quadrature while
+eps >= 2^-5, where phi_eps's tail still reaches 2L, and in closed form
+below; those at |m| >= 2 in closed form on every rung.  Without them the
+rung-0 gap at depth 8 is 2.8e-5 of I(0) at alpha = 1.
+
 The tolerance is the componentwise error bound of the inverse FFT that
 ``_derivative_sups`` takes on rung j's grid of N_j nodes (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., section 24.1),
@@ -25,11 +35,11 @@ eta = mu + gamma_4 (sqrt 2 + mu) with twiddle error mu = u, plus the
 the quadrature's own error, estimated by halving the panels.  No constant
 is tuned.
 
-pv(1/x) and heaviside are left out: pv(1/x)'s periodization tail reaches
-2.8e-5 at rung 0, and heaviside's frames carry the ramp's seam at +-L.
+heaviside is left out: its frames carry the ramp's seam at +-L.
 """
 
 import warnings
+from math import factorial
 
 import numpy as np
 import pytest
@@ -42,7 +52,10 @@ U = 2.0 ** -53
 ETA = U + 4 * U / (1 - 4 * U) * (np.sqrt(2) + U)
 BOX = (-10.0, 10.0)
 #: kind -> the orders alpha at which D^alpha f_eps peaks at x = 0
-ROWS = {"delta": (0, 2, 4), "gaussian": (0, 2, 4), "delta_prime": (1, 3)}
+ROWS = {"delta": (0, 2, 4), "gaussian": (0, 2, 4), "delta_prime": (1, 3),
+        "pv_inverse": (1, 3)}
+#: zeta(alpha + 1) at the orders of pv(1/x)'s rows
+ZETA = {2: np.pi ** 2 / 6, 4: np.pi ** 4 / 90}
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 PANELS = 512
 
@@ -60,12 +73,16 @@ def _quadrature(integrand, top: float, panels: int) -> float:
     return float(np.sum(half * GL_WEIGHTS * integrand(nodes)))
 
 
-def _oracle(fhat, profile, eps: float, alpha: int, period: float) -> tuple:
+def _oracle(fhat, profile, eps: float, alpha: int, period: float,
+            algebraic: bool = False) -> tuple:
     """I(0) + 2 I(period) (the image only while eps >= IMAGE_EPS), and the
     quadrature's error estimate: the change from half the panels.  Each
-    panel spans at most 2 radians of cos(period xi)."""
+    panel spans at most 2 radians of cos(period xi).  With ``algebraic``
+    the closed form of pv(1/x)'s images is added: those at |m| >= 2, and
+    those at +-period too where the quadrature leaves them out."""
     top = profile.r_outer / eps
-    shifts = (0.0, period) if eps >= IMAGE_EPS else (0.0,)
+    near = eps >= IMAGE_EPS
+    shifts = (0.0, period) if near else (0.0,)
     values = []
     for panels in (PANELS, PANELS // 2):
         total = 0.0
@@ -77,7 +94,12 @@ def _oracle(fhat, profile, eps: float, alpha: int, period: float) -> tuple:
             n = max(panels, int(np.ceil(x * top / 2.0)) * panels // PANELS)
             total += (1.0 if x == 0 else 2.0) * _quadrature(integrand, top, n)
         values.append(total / np.pi)
-    return values[0], abs(values[0] - values[1])
+    far = 0.0
+    if algebraic:
+        far = (2.0 * (-1) ** ((alpha + 1) // 2) * factorial(alpha)
+               * (ZETA[alpha + 1] - (1.0 if near else 0.0))
+               / period ** (alpha + 1))
+    return values[0] + far, abs(values[0] - values[1])
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +132,8 @@ def test_derivative_sups_match_the_quadrature(ladders, moll, kind, depth):
         row = sups[alphas.index((alpha,))]
         for j, eps in enumerate(net.ladder.values):
             exact, quad_err = _oracle(fhat, moll.profile, float(eps), alpha,
-                                      2.0 * net.grid.half_width)
+                                      2.0 * net.grid.half_width,
+                                      kind == "pv_inverse")
             terms = (np.abs(xi) ** alpha * np.abs(fhat(xi))
                      * moll.profile(eps * xi))
             log_n = np.log2(net.grid.n * rung_m[j])

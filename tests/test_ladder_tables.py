@@ -1,8 +1,8 @@
 """Ladder tables built once per call: regularize evaluates psi once, at
 eps_min, and reads the other rungs of a ladder of ratio 2^-p strided from
-it; the powers (-xi)^k are built once per call, on the largest grid, and
-every grid's derivative symbols are read from them.  Both reads are
-bitwise those of the per-grid builds."""
+it, bitwise the per-rung evaluations.  The derivative symbols are built on
+the grid they act on, with the powers (-xi)^k shared by the call's
+multi-indices, and _derivative_sups builds them once per rung grid."""
 
 import warnings
 
@@ -13,7 +13,7 @@ from gfalg import estimators
 from gfalg.distributions import (ModelDistribution, _rung_profiles,
                                  regularize, required_oversample)
 from gfalg.estimators import _derivative_sups, _rung_oversamples
-from gfalg.grids import GridSpec, _axis_powers, _symbol
+from gfalg.grids import GridSpec, _symbols
 from gfalg.mollifier import PlateauProfile
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, constant_embed,
                         scale)
@@ -23,7 +23,7 @@ I_POWERS = (1.0, 1j, -1.0, -1j)
 
 
 def _power(xi, k):
-    """(-xi)^k by the rule of _axis_powers: k products from ones."""
+    """(-xi)^k by the rule of _symbols: k products from ones."""
     power = np.ones_like(xi)
     for _ in range(k):
         power = power * -xi
@@ -100,23 +100,21 @@ class TestStridedProfile:
             assert psi.tobytes() == moll.profile(eps * abs_xi).tobytes()
 
 
-class TestSymbolsFromOnePowersTable:
+class TestSymbolsOnTheirGrid:
     def test_bitwise_the_per_grid_symbols(self, grid):
+        # every rung grid of a depth-10 ladder, the uncut smaller half
+        # grids included: their Nyquist node holds -pi/dx
         ladder = EpsilonLadder(2.0 ** -3, 0.5, 10)
         alphas = [(k,) for k in range(1, 5)]
-        top = grid.refine(required_oversample(ladder, grid))
+        assert required_oversample(ladder, grid) == 64
         for half in (True, False):
-            powers = _axis_powers(top, alphas, half)
             for m in (1, 2, 4, 8, 16, 32, 64):
                 coarse = grid.refine(m)
-                # the half axis of a smaller grid is read cut only: the
-                # prefix holds +pi/dx at its Nyquist node
-                uncut = coarse.n == top.n or not half
-                for cut in (True, False) if uncut else (True,):
-                    for alpha in alphas:
+                for cut in (True, False):
+                    for alpha, sym in zip(alphas, _symbols(coarse, alphas,
+                                                           half, cut)):
                         _assert_bitwise(
-                            _symbol(powers, top, coarse, alpha, half, cut),
-                            _grid_symbol(coarse, alpha, half, cut))
+                            sym, _grid_symbol(coarse, alpha, half, cut))
 
     @pytest.mark.parametrize("cut", (True, False))
     def test_2d_bitwise_the_per_grid_symbols(self, cut):
@@ -124,13 +122,10 @@ class TestSymbolsFromOnePowersTable:
         # differentiated axis is cut
         base = GridSpec(2, 5.0, 256)
         alphas = [(i, j) for i in range(5) for j in range(5 - i)]
-        top = base.refine(4)
-        powers = _axis_powers(top, alphas)
         for m in (1, 2, 4):
             coarse = base.refine(m)
-            for alpha in alphas:
-                _assert_bitwise(_symbol(powers, top, coarse, alpha, cut=cut),
-                                _grid_symbol(coarse, alpha, cut=cut))
+            for alpha, sym in zip(alphas, _symbols(coarse, alphas, cut=cut)):
+                _assert_bitwise(sym, _grid_symbol(coarse, alpha, cut=cut))
 
     @pytest.mark.parametrize("dim", (1, 2))
     def test_bitwise_the_meshgrid_product(self, dim):
@@ -139,13 +134,12 @@ class TestSymbolsFromOnePowersTable:
         g = GridSpec(dim, 5.0, 256)
         alphas = [(k,) for k in range(5)] if dim == 1 else \
             [(i, j) for i in range(5) for j in range(5 - i)]
-        powers = _axis_powers(g, alphas)
-        for alpha in alphas:
+        for alpha, sym in zip(alphas, _symbols(g, alphas)):
             expected = np.ones(g.shape)
             for k, xi in zip(alpha, g.dual_points()):
                 if k:
                     expected = expected * _power(xi, k)
-            _assert_bitwise(_symbol(powers, g, g, alpha), expected)
+            _assert_bitwise(sym, expected)
 
     @pytest.mark.parametrize("dim", (1, 2))
     def test_ultradiff_symbol_bitwise_the_monomial_sum(self, seq, dim):
@@ -167,27 +161,28 @@ class TestSymbolsFromOnePowersTable:
 
     def test_rejects_a_multi_index_of_the_wrong_dimension(self):
         with pytest.raises(ValueError):
-            _axis_powers(GridSpec(2, 5.0, 256), [(1,)])
+            _symbols(GridSpec(2, 5.0, 256), [(1,)])
         with pytest.raises(ValueError):
-            _axis_powers(GridSpec(1, 5.0, 256), [(-1,)])
+            _symbols(GridSpec(1, 5.0, 256), [(-1,)])
 
 
 class TestPowersByProducts:
     @pytest.mark.parametrize("g,half", ((GridSpec(1, 20.0, 4096 * 64), True),
                                         (GridSpec(2, 5.0, 1024), False)))
     def test_within_k_u_of_pow(self, g, half):
-        # each product rounds once: k - 1 roundings, against pow's one
+        # each product rounds once: k - 1 roundings, against pow's one.
+        # The factor i^k of the half axis is exact, and in 2-D the symbol of
+        # (k, 0) is the outer product with ones, whose column 0 is the power
         u = np.finfo(float).eps / 2
         xi = g.half_dual_axis() if half else g.dual_axis()
-        alphas = [(k,) * g.dim for k in range(17)]
-        powers = _axis_powers(g, alphas, half)
-        assert sorted(powers) == list(range(17))
-        for k, power in powers.items():
-            exact = (-xi) ** k
+        alphas = [(k,) + (0,) * (g.dim - 1) for k in range(17)]
+        for (k, *_), sym in zip(alphas, _symbols(g, alphas, half)):
+            power = sym if g.dim == 1 else sym[:, 0]
+            exact = (I_POWERS[k % 4] if half else 1.0) * (-xi) ** k
             assert np.all(np.abs(power - exact) <= k * u * np.abs(exact)), k
-        # up to the square the products are bitwise pow's
-        for k in (0, 1, 2):
-            _assert_bitwise(powers[k], (-xi) ** k)
+            # up to the square the products are bitwise pow's
+            if k <= 2:
+                _assert_bitwise(power, exact)
 
 
 class TestOneTablePerCall:
@@ -208,8 +203,8 @@ class TestOneTablePerCall:
                    grid)
         assert len(profile_calls) == ladder.count
 
-    def test_derivative_powers_for_one_grid(self, catalog, seq,
-                                            monkeypatch):
+    def test_derivative_symbols_per_rung_grid(self, catalog, seq,
+                                              monkeypatch):
         # real 1-D nets read the half axis; complex 1-D and 2-D nets the
         # full one, and on a 2-D net the coarse rungs cut 1024^2 nodes to
         # 256^2 and 512^2
@@ -219,13 +214,13 @@ class TestOneTablePerCall:
                                  GridSpec(2, 5.0, 256), weight=seq,
                                  oversample=4)
         builds = []
-        build = estimators._axis_powers
+        build = estimators._symbols
 
-        def recorded(g, alphas, half=False):
-            builds.append((g.n, half))
-            return build(g, alphas, half)
+        def recorded(g, alphas, half=False, cut=False):
+            builds.append((g.n, half, cut))
+            return build(g, alphas, half, cut)
 
-        monkeypatch.setattr(estimators, "_axis_powers", recorded)
+        monkeypatch.setattr(estimators, "_symbols", recorded)
         for net, box, half in ((delta, (-10.0, 10.0), True),
                                (scale(delta, 1j), (-10.0, 10.0), False),
                                (gauss2d, (-2.0, 2.0), False)):
@@ -233,5 +228,7 @@ class TestOneTablePerCall:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 _derivative_sups(net, box, 4, "test")
-            top = net.grid.n * max(_rung_oversamples(net, box))
-            assert builds == [(top, half)]
+            sizes = sorted({net.grid.n * m
+                            for m in _rung_oversamples(net, box)})
+            assert len(sizes) > 1
+            assert builds == [(n, half, n < net.fine_grid.n) for n in sizes]

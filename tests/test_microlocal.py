@@ -162,7 +162,8 @@ class TestStability:
         net = catalog("delta")
         coeffs = {(0,): 1.0, (2,): np.exp(-seq.log_m[2])}
         op = UltradiffOperator(coeffs, seq, bound_c=1.0, bound_l=1.0)
-        pnet = apply_ultradiff(op, net)
+        with pytest.warns(RuntimeWarning, match="boundary mass"):
+            pnet = apply_ultradiff(op, net)
         rep = wavefront(pnet, CENTERS, RADIUS, mode="beurling")
         assert rep.flagged_centers() == (0.0,)
 

@@ -184,7 +184,7 @@ class TestUltradiffOperator:
         for (k,), val in coeffs.items():
             term = np.full(grid.n, val, dtype=complex)
             if k:
-                # (-xi)^k by the rule of _axis_powers: products from ones
+                # (-xi)^k by the rule of _symbols: products from ones
                 power = np.ones_like(xi)
                 for _ in range(k):
                     power = power * -xi

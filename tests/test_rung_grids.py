@@ -14,7 +14,7 @@ from gfalg.distributions import (ModelDistribution, regularize,
                                  required_oversample, rung_oversample)
 from gfalg.estimators import (MODERATION_ALPHA_MAX, _derivative_sups,
                               _rung_oversamples, classify_net)
-from gfalg.grids import GridSpec, _axis_powers, _symbol, forward, inverse
+from gfalg.grids import GridSpec, _symbols, forward, inverse
 from gfalg.nets import EpsilonLadder, constant_embed, window_net
 
 #: tracemalloc peak of classify_net(delta at depth 10, (-10, 10)) before the
@@ -81,9 +81,7 @@ class TestNyquistSymbol:
     def test_zero_at_the_nyquist_node_of_a_cut_grid(self, half, cut):
         g = GridSpec(1, 20.0, 256)
         alphas = [(k,) for k in range(1, 5)]
-        powers = _axis_powers(g, alphas, half)
-        symbols = [_symbol(powers, g, g, alpha, half, cut)
-                   for alpha in alphas]
+        symbols = _symbols(g, alphas, half, cut)
         xi = g.half_dual_axis() if half else g.dual_axis()
         for (k,), sym in zip(alphas, symbols):
             expected = (1j ** k if half else 1.0) * (-xi) ** k
@@ -95,7 +93,7 @@ class TestNyquistSymbol:
         g = GridSpec(2, 5.0, 256)
         h = g.n // 2
         for alpha in ((1, 0), (0, 1)):
-            sym = _symbol(_axis_powers(g, [alpha]), g, g, alpha, cut=True)
+            (sym,) = _symbols(g, [alpha], cut=True)
             xi = g.dual_axis()
             # the differentiated axis is 0 at its Nyquist node, the other
             # axis' Nyquist node keeps its value
