@@ -38,12 +38,10 @@ def _require_edge_negligible(f: np.ndarray, sup: float, label: str) -> None:
 
 
 def _omega(w: WeightFunction, grid: GridSpec, half: bool) -> np.ndarray:
-    """omega(|xi|) at the nodes a spectrum is read at, with ``half`` the
-    first n//2 + 1 of the last axis: bitwise ``w(grid.dual_radius())``."""
-    xi = grid.dual_axis()
-    last = np.abs(xi[: grid.n // 2 + 1] if half else xi)
-    return w(last if grid.dim == 1 else
-             np.hypot(*np.meshgrid(xi, last, indexing="ij")))
+    """omega at ``grid.dual_radius()``, on the nodes a spectrum is read at:
+    with ``half`` the first n//2 + 1 of the last axis."""
+    radius = grid.dual_radius()
+    return w(radius[..., : grid.n // 2 + 1] if half else radius)
 
 
 def _log_spectrum(fhat: np.ndarray, grid: GridSpec,

@@ -384,7 +384,8 @@ def window_net(a: NetFunction, center, radius: float) -> NetFunction:
 
 
 def point_value(a: NetFunction, x: GeneralizedPoint) -> GeneralizedNumber:
-    """values[j] = frame_j(points[j]) by linear interpolation."""
+    """values[j] = frame_j(points[j]) by linear interpolation: one
+    ``np.interp`` of a real or complex 1-D frame, bilinear in 2-D."""
     if x.ladder != a.ladder:
         raise GridMismatchError("point and net use different ladders")
     fine = a.fine_grid
@@ -398,11 +399,7 @@ def point_value(a: NetFunction, x: GeneralizedPoint) -> GeneralizedNumber:
     vals = []
     for j, fr in enumerate(a.frames):
         if a.grid.dim == 1:
-            if np.iscomplexobj(fr):
-                v = (np.interp(pts[j, 0], axis, fr.real)
-                     + 1j * np.interp(pts[j, 0], axis, fr.imag))
-            else:
-                v = np.interp(pts[j, 0], axis, fr)
+            v = np.interp(pts[j, 0], axis, fr)
         else:
             v = _bilinear(fr, axis, pts[j])
         vals.append(v)
@@ -451,8 +448,10 @@ def _tends_to_zero(trace: np.ndarray) -> bool:
 
 
 def _tends_to_infinity(trace: np.ndarray) -> bool:
+    """``trace`` holds one value per ladder rung (at least 6), so both
+    halves are non-empty."""
     half = len(trace) // 2
-    head = float(np.min(trace[:half])) if half else float(trace[0])
+    head = float(np.min(trace[:half]))
     tail = float(np.min(trace[half:]))
     return tail >= max(2.0 * head, 1.0)
 

@@ -58,11 +58,10 @@ class WeightSequence:
         return WeightSequence(kind="gevrey", log_m=s * log_fact, p_max=p_max, s=s)
 
     @staticmethod
-    def custom(log_m, p_max: int | None = None) -> "WeightSequence":
+    def custom(log_m) -> "WeightSequence":
+        """The table log M_0 .. log M_p_max, with p_max = len(log_m) - 1."""
         lm = np.asarray(log_m, dtype=float)
-        if p_max is None:
-            p_max = lm.shape[0] - 1
-        return WeightSequence(kind="custom", log_m=lm, p_max=p_max)
+        return WeightSequence(kind="custom", log_m=lm, p_max=lm.shape[0] - 1)
 
     @property
     def m1(self) -> float:

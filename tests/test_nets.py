@@ -237,6 +237,35 @@ class TestPointValues:
         vals = point_value(a, GeneralizedPoint(ladder, pts, (0.0, 1.0)))
         assert np.allclose(vals.values, ladder.values ** 2, atol=1e-4)
 
+    def test_one_interp_reads_real_and_complex_frames(self, catalog):
+        # a complex frame reads within one ulp of its rung's sup of
+        # interpolating its parts apart (the two round the slope apart), a
+        # real frame bitwise, at nodes and the last node included.  With
+        # D = -i d/dx, H + DH = H - i phi has two nonzero parts.
+        real = window_net(catalog("heaviside"), 0.0, 10.0)
+        cplx = combine(real, spectral_derivative(real, 1), "add")
+        assert real.real
+        assert all(np.any(fr.real) and np.any(fr.imag) for fr in cplx.frames)
+        ladder = real.ladder
+        axis = real.fine_grid.axis()
+        rng = np.random.default_rng(24)
+        point_sets = [rng.uniform(axis[0], axis[-1], ladder.count)
+                      for _ in range(200)]
+        point_sets += [axis[rng.integers(0, axis.size, ladder.count)],
+                       np.full(ladder.count, axis[0]),
+                       np.full(ladder.count, axis[-1])]
+        for xs in point_sets:
+            x = GeneralizedPoint(ladder, xs[:, None], (axis[0], axis[-1]))
+            expect = [np.interp(p, axis, fr)
+                      for p, fr in zip(xs, real.frames)]
+            assert np.array_equal(point_value(real, x).values, expect)
+            got = point_value(cplx, x).values
+            for part in (np.real, np.imag):
+                expect = [np.interp(p, axis, part(fr))
+                          for p, fr in zip(xs, cplx.frames)]
+                assert np.all(np.abs(part(got) - expect)
+                              <= np.spacing(cplx.sups))
+
     def test_point_outside_box_rejected(self, small_rig):
         _, ladder, _ = small_rig
         with pytest.raises(ValueError):
