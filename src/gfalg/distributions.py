@@ -23,6 +23,7 @@ from .nets import EpsilonLadder, NetFunction
 ALIAS_MARGIN = 2.0
 
 MAX_OVERSAMPLE = 64
+POLYNOMIAL_WINDOW_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class ModelDistribution:
     dim: int = 1
     freq: float = 0.0
     coeffs: tuple = ()
-    window_radius: float = 5.0
     factors: tuple = ()
     table: dict = None
 
@@ -145,7 +145,7 @@ def _spatial_samples(m: ModelDistribution, grid: GridSpec) -> np.ndarray:
     """Classical samples of a polynomial, windowed: the polynomial kind is
     regularized through the discrete transform of these samples."""
     q = np.polynomial.polynomial.polyval(grid.axis(), np.asarray(m.coeffs))
-    return q * plateau_window(grid, 0.0, m.window_radius)
+    return q * plateau_window(grid, 0.0, POLYNOMIAL_WINDOW_RADIUS)
 
 
 def _rung_profiles(moll: MollifierNet, ladder: EpsilonLadder,
@@ -158,18 +158,16 @@ def _rung_profiles(moll: MollifierNet, ladder: EpsilonLadder,
     2^p scales |xi_k| exactly, eps_j |xi_k| and eps_min |xi_(2^p k)| are the
     same double, and psi is a pure function of its argument.  The strided
     read covers the first ceil((n/2 + 1)/2^p) nodes; beyond them eps_j |xi|
-    exceeds eps_min |xi| at the last node, and where that reaches
-    ``r_outer`` psi is 0.  Every other rung calls the profile.  The table
-    lives for this call only.
+    exceeds eps_min pi/dx >= 2 ALIAS_MARGIN = 4 > r_outer, where psi is 0,
+    on the grid of :func:`required_oversample` that ``abs_xi`` must be on.
+    Every other rung calls the profile.  The table lives for this call only.
     """
     values = ladder.values
     eps_min = values[-1]
     psi_min = moll.profile(eps_min * abs_xi)
-    strided = eps_min * abs_xi[-1] >= moll.profile.r_outer
     for eps in values[:-1]:
         stride = int(eps / eps_min)
-        if (not strided or stride & (stride - 1)
-                or eps_min * stride != eps):
+        if stride & (stride - 1) or eps_min * stride != eps:
             yield moll.profile(eps * abs_xi)
             continue
         psi_eps = np.zeros(abs_xi.size)
@@ -225,7 +223,7 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
         spec = (np.divide(psi_eps, divisor, where=xi != 0,
                           out=np.zeros(xi.size, dtype=complex))
                 if ramp else fhat_vals * psi_eps)
-        frames.append(inverse(spec, fine, half=True))
+        frames.append(inverse(spec, fine))
         if ramp:
             frames[-1] += ramp_x
         # psi_eps is nonzero on a prefix of the half axis; copied out of spec

@@ -148,7 +148,7 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
         _warn_boundary_mass(eps, fr, a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
         for i, sym in enumerate(symbols, start=1):
-            deriv = inverse(fhat * sym, coarse, half=half)
+            deriv = inverse(fhat * sym, coarse)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
     return alphas, sups
 
@@ -234,7 +234,7 @@ def landau_kolmogorov_check(f: np.ndarray, grid: GridSpec, k: int,
     alphas = [alpha for alpha in _multi_indices(d, n) if sum(alpha) in (k, n)]
     sups = {k: 0.0, n: 0.0}
     for alpha, sym in zip(alphas, _symbols(grid, alphas, half)):
-        deriv = inverse(fhat * sym, grid, half=half)
+        deriv = inverse(fhat * sym, grid)
         sups[sum(alpha)] = max(sups[sum(alpha)], float(np.max(np.abs(deriv))))
     norm0 = float(np.max(np.abs(f)))
     lhs, sup_n = sups[k], sups[n]

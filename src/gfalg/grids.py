@@ -10,8 +10,9 @@ the exact sign (-1)^k.
 
 The spectrum of real samples is Hermitian, fhat(-xi) = conj fhat(xi), so
 the first n//2 + 1 nodes of its last axis (the half axis in 1-D, the half
-plane in 2-D) determine it: ``half=True`` selects the real-to-complex
-transform pair, which does about half the work.
+plane in 2-D) determine it.  ``forward(..., half=True)`` chooses that
+layout, through the real-to-complex transform at about half the work;
+:func:`inverse` and :func:`_band` read it from the last axis' length.
 
 Importing the module fixes the C heap's thresholds (``_set_heap_policy``),
 so that transform-sized buffers are reused rather than mapped afresh.
@@ -161,12 +162,14 @@ def forward(f: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
     return _alternate(out)
 
 
-def inverse(fhat: np.ndarray, grid: GridSpec, half: bool = False) -> np.ndarray:
-    """Inverse of :func:`forward`; returns complex samples on the grid.  With
-    ``half=True`` ``fhat`` holds the half spectrum of a Hermitian spectrum
-    and the samples are real; the parts of the input that no Hermitian
-    spectrum has (the imaginary parts at 0 and at the Nyquist node in 1-D)
-    are dropped."""
+def inverse(fhat: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of :func:`forward`, the layout read from the last axis: n
+    nodes give complex samples, n//2 + 1 (a half spectrum) real ones, with
+    the parts no Hermitian spectrum has (the imaginary parts at 0 and at
+    the Nyquist node in 1-D) dropped; ValueError for any other shape."""
+    half = np.shape(fhat) == grid.shape[:-1] + (grid.n // 2 + 1,)
+    if not half and np.shape(fhat) != grid.shape:
+        raise ValueError(f"no spectrum on {grid} has shape {np.shape(fhat)}")
     # the phase may not overwrite ``fhat``; the transform's output may
     out = _alternate(np.array(fhat, dtype=complex))
     if half:
@@ -185,17 +188,16 @@ def integrate(f: np.ndarray, grid: GridSpec) -> float | complex:
     return float(val.real) if np.isrealobj(f) else complex(val)
 
 
-def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec,
-          half: bool) -> np.ndarray:
+def _band(fhat: np.ndarray, fine: GridSpec, coarse: GridSpec) -> np.ndarray:
     """The nodes |k| <= n/2 of a spectrum on the fine grid, laid out on the
     coarse grid of n nodes per axis (both grids share the dual spacing
     pi/L).  The nodes +-n/2 fall on the coarse Nyquist node, where the
-    derivative symbols of a cut grid are 0.  A half spectrum is cut on the
-    half axis alone: a half plane is refused."""
+    derivative symbols of a cut grid are 0.  Of a half spectrum (n//2 + 1
+    last-axis nodes) only the half axis is cut: a half plane is refused."""
     if coarse.n == fine.n:
         return fhat
     h = coarse.n // 2
-    if half:
+    if fhat.shape[-1] == fine.n // 2 + 1:
         if fhat.ndim != 1:
             raise ValueError("a half plane cannot be cut to a coarser grid")
         return fhat[: h + 1]

@@ -165,7 +165,7 @@ def build_mollifier(sigma: float, grid: GridSpec) -> MollifierNet:
     profile = PlateauProfile(sigma, 1.0, 2.0)
     psi = profile(grid.dual_radius())
     # psi is real and even on the grid, so phi is real
-    phi = inverse(psi[..., : grid.n // 2 + 1], grid, half=True)
+    phi = inverse(psi[..., : grid.n // 2 + 1], grid)
     return MollifierNet(sigma=sigma, grid=grid, profile=profile,
                         psi=psi, phi=phi)
 
@@ -182,7 +182,7 @@ def sample_phi_eps(net: MollifierNet, eps: float) -> np.ndarray:
             f"eps on this grid is {eps_min:.6g}",
             eps_min_admissible=eps_min)
     psi_eps = net.profile(eps * grid.dual_radius()[..., : grid.n // 2 + 1])
-    return inverse(psi_eps, grid, half=True)
+    return inverse(psi_eps, grid)
 
 
 @dataclass(frozen=True)

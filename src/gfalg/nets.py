@@ -236,7 +236,7 @@ def _spectrum(a: NetFunction, j: int, half: bool, grid=None) -> np.ndarray:
     fine = a.fine_grid
     grid = grid or fine
     if not (half and a.spectra):
-        return _band(forward(a.frames[j], fine, half=half), fine, grid, half)
+        return _band(forward(a.frames[j], fine, half=half), fine, grid)
     bands, ramp = a.spectra
     nodes = grid.n // 2 + 1
     out = np.zeros(nodes, dtype=complex)
@@ -255,9 +255,10 @@ def _spectrum(a: NetFunction, j: int, half: bool, grid=None) -> np.ndarray:
 def _apply_symbol(a: NetFunction, coeffs: dict,
                   warn_label: str) -> NetFunction:
     """Frame-wise sum_alpha c_alpha D^alpha, one multiplier on the fine grid,
-    in complex frames.  On a real 1-D net f^(k) = i^k D^k f is real, so with
-    b_k = c_k (-i)^k the real and imaginary parts, sum Re(b_k) f^(k) and
-    sum Im(b_k) f^(k), take one real-pair inverse each, if any b_k has one."""
+    in complex frames unless the net is real and 1-D and no b_k = c_k (-i)^k
+    has an imaginary part.  On a real 1-D net f^(k) = i^k D^k f is real, and
+    the parts sum Re(b_k) f^(k) and sum Im(b_k) f^(k) take one half-axis
+    inverse each if some b_k has one."""
     fine = a.fine_grid
     half = a.grid.dim == 1 and a.real
     terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c, sym)
@@ -271,10 +272,11 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
         _warn_boundary_mass(eps, a.frames[j], a.sups[j], warn_label)
         fhat = _spectrum(a, j, half)
         if half:
-            out = np.zeros(fine.n, dtype=complex)
+            out = np.zeros(fine.n, dtype=complex if np.ndim(symbol["imag"])
+                           else float)
             for part, sym in symbol.items():
                 if np.ndim(sym):  # a part no b_k has is 0
-                    setattr(out, part, inverse(fhat * sym, fine, half=True))
+                    setattr(out, part, inverse(fhat * sym, fine))
         frames.append(out if half else inverse(fhat * symbol, fine))
     return replace(a, frames=tuple(frames))
 

@@ -26,7 +26,7 @@ from gfalg.bb import (_log_norm, _log_spectrum, classify_net_bb,
                       colombeau_crosscheck, fl_norm)
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.estimators import classify_net
-from gfalg.grids import GridSpec, _symbols, forward
+from gfalg.grids import GridSpec, _symbols, forward, inverse
 from gfalg.nets import (EpsilonLadder, UltradiffOperator, _apply_symbol,
                         _spectrum, apply_ultradiff, combine, constant_embed,
                         scale, spectral_derivative, window_net)
@@ -204,6 +204,54 @@ class TestHalfAxisOperators:
             assert not np.any(h.imag if k % 2 == 0 else h.real)
 
 
+def _half_axis_part(net, coeffs, part):
+    """Per rung, sum part(b_k) f^(k) with b_k = c_k (-i)^k, from one
+    half-axis inverse of the net's half spectrum."""
+    fine = net.fine_grid
+    symbol = sum(getattr(complex(c) * (-1j) ** alpha[0], part) * sym
+                 for (alpha, c), sym in zip(coeffs.items(),
+                                            _symbols(fine, coeffs, True)))
+    return [inverse(_spectrum(net, j, True) * symbol, fine)
+            for j in range(net.ladder.count)]
+
+
+class TestRealOperatorsStayReal:
+    """A real operator of a real 1-D net, one no b_k = c_k (-i)^k of which
+    has an imaginary part, gives real frames: the real part of the complex
+    frames it gave before, bitwise.  Odd orders stay imaginary."""
+
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_even_derivatives_are_real_nets(self, catalog, k, quiet):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        d = spectral_derivative(net, k)
+        assert d.real
+        for fr, expected in zip(d.frames,
+                                _half_axis_part(net, {(k,): 1.0}, "real")):
+            assert fr.dtype == float
+            assert fr.tobytes() == expected.tobytes()
+
+    def test_even_operator_is_a_real_net(self, catalog, seq, quiet):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        op = UltradiffOperator({0: 1.0, 2: 0.05, 4: 1e-3}, seq, 1.0, 1.0)
+        d = apply_ultradiff(op, net)
+        assert d.real
+        for fr, expected in zip(d.frames,
+                                _half_axis_part(net, op.coeffs, "real")):
+            assert fr.dtype == float
+            assert fr.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", (1, 3))
+    def test_odd_derivatives_stay_imaginary(self, catalog, k, quiet):
+        net = window_net(catalog("delta"), 0.0, 10.0)
+        d = spectral_derivative(net, k)
+        assert not d.real
+        for fr, expected in zip(d.frames,
+                                _half_axis_part(net, {(k,): 1.0}, "imag")):
+            assert fr.dtype == complex
+            assert not np.any(fr.real)
+            assert fr.imag.tobytes() == expected.tobytes()
+
+
 class TestHalfSpectrumNorms:
     W = {"log1p": WeightFunction.log_one_plus_t(),
          "sqrt": WeightFunction.power(0.5)}
@@ -305,6 +353,13 @@ class TestTransformCounts:
             spectral_derivative(a, 3)
             apply_ultradiff(UltradiffOperator(COEFFS["complex"], seq,
                                               1.0, 1.0), a)
+        assert full_transforms == []
+
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_even_derivatives_are_read_on_the_half_axis(
+            self, catalog, k, full_transforms, quiet):
+        d = spectral_derivative(window_net(catalog("delta"), 0.0, 10.0), k)
+        classify_net(d, (-10.0, 10.0))
         assert full_transforms == []
 
     def test_real_input_takes_no_full_transform_in_any_dimension(

@@ -103,6 +103,42 @@ class TestThreadCount:
         assert reports[0] == reports[1]
 
 
+_NUMPY_ONLY = """
+import json, sys
+# the test extras may not be imported
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+before = set(sys.modules)
+from gfalg.cli import main
+codes = {}
+for command in ("embed", "classify", "regularity", "wavefront",
+                "bb-classify", "crosscheck", "weights-check",
+                "mollifier-build", "impossibility-demo"):
+    argv = [command, "--out", sys.argv[1] + "/" + command]
+    if command == "bb-classify":
+        argv += ["--weight", "omega:log1p"]
+    codes[command] = main(argv)
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"codes": codes, "added": sorted(
+    added - set(sys.stdlib_module_names))}))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_every_command_runs_on_numpy_alone(self, tmp_path):
+        """Runtime dependencies stay at NumPy only: all nine commands run
+        on the reference rig with the test extras unimportable, and the
+        only non-stdlib modules they load are gfalg's and NumPy's."""
+        src = os.path.dirname(os.path.dirname(gfalg.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+            capture_output=True, text=True, timeout=300)
+        result = json.loads(done.stdout)
+        assert set(result["codes"].values()) == {0}, result["codes"]
+        assert result["added"] == ["gfalg", "numpy"]
+
+
 class TestManifest:
     def test_hashes_cover_outputs(self, tmp_path):
         code, out, _ = run(tmp_path, "embed", "--dist", "gaussian")

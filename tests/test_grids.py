@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfalg
-from gfalg.grids import GridSpec, _band, forward, integrate, inverse
+from gfalg.grids import (GridSpec, _alternate, _band, forward, integrate,
+                         inverse)
 
 
 class TestGridSpec:
@@ -116,7 +117,7 @@ class TestExactPhase:
         fhat = forward(delta, g, half=half)
         dx = g.spacing ** dim
         assert np.max(np.abs(fhat - dx)) <= 4 * np.spacing(dx)
-        back = inverse(fhat, g, half=half)
+        back = inverse(fhat, g)
         assert np.max(np.abs(back - delta)) <= 4 * np.spacing(1.0)
 
 
@@ -169,6 +170,52 @@ class TestOneTransformCall:
             <= inv_bound
 
 
+class TestLayoutFromShape:
+    """``inverse`` reads the layout from the length of the last axis: n//2
+    + 1 nodes are a half spectrum (real samples), n nodes a full one
+    (complex samples), and any other shape is refused."""
+
+    @staticmethod
+    def _flagged(fhat, g, half):
+        # the pair's inverse with the layout given, not read
+        out = _alternate(np.array(fhat, dtype=complex))
+        if half:
+            np.conjugate(out, out=out)
+            out = np.fft.irfftn(out, s=g.shape, axes=range(g.dim))
+            out /= g.spacing ** g.dim
+            return out
+        out = np.fft.fftn(out)
+        out /= (g.n * g.spacing) ** g.dim
+        return out
+
+    @pytest.mark.parametrize("dim, n", [(1, 256), (1, 4096), (2, 256)])
+    def test_bitwise_the_flagged_inverse(self, dim, n):
+        g = GridSpec(dim, 5.0, n)
+        rng = np.random.default_rng(n + dim)
+        f = rng.standard_normal(g.shape)
+        for fhat, half in ((forward(f, g, half=True), True),
+                           (forward(f + 1j * rng.standard_normal(g.shape),
+                                    g), False)):
+            got, expected = inverse(fhat, g), self._flagged(fhat, g, half)
+            assert got.dtype == (float if half else complex)
+            assert got.shape == g.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(128,), (257,), (129, 2), (256, 1)])
+    def test_1d_refuses_other_lengths(self, shape):
+        g = GridSpec(1, 5.0, 256)
+        with pytest.raises(ValueError, match="no spectrum on"):
+            inverse(np.ones(shape, dtype=complex), g)
+
+    @pytest.mark.parametrize("shape", [(256, 128), (256, 257), (128, 129),
+                                       (255, 256), (129, 129), (256,),
+                                       (129,)])
+    def test_2d_refuses_other_shapes(self, shape):
+        g = GridSpec(2, 5.0, 256)
+        with pytest.raises(ValueError, match="no spectrum on"):
+            inverse(np.ones(shape, dtype=complex), g)
+
+
 class TestBandCut:
     """``_band`` cuts a half spectrum on its half axis, which in 2-D is the
     last axis: a half plane is refused rather than cut along its rows."""
@@ -177,17 +224,17 @@ class TestBandCut:
         fine, coarse = GridSpec(1, 5.0, 512), GridSpec(1, 5.0, 256)
         fhat = forward(np.random.default_rng(1).standard_normal(512), fine,
                        half=True)
-        assert np.array_equal(_band(fhat, fine, coarse, True), fhat[:129])
+        assert np.array_equal(_band(fhat, fine, coarse), fhat[:129])
 
     def test_half_plane_is_refused(self):
         fine, coarse = GridSpec(2, 5.0, 512), GridSpec(2, 5.0, 256)
         fhat = forward(np.random.default_rng(2).standard_normal(fine.shape),
                        fine, half=True)
         with pytest.raises(ValueError, match="half plane"):
-            _band(fhat, fine, coarse, True)
+            _band(fhat, fine, coarse)
         # on its own grid a half plane passes through, as every 2-D window
         # of the decay sups does
-        assert _band(fhat, fine, fine, True) is fhat
+        assert _band(fhat, fine, fine) is fhat
 
 
 _TWO_PIPELINES = """
