@@ -77,14 +77,12 @@ def table(depths) -> dict:
             for mode in MODES:
                 key = f"{depth}/{kind}/{mode}"
                 out[f"{key}/classify"] = classify_net(
-                    net, (-10.0, 10.0), mode, seq).classification
+                    net, (-10.0, 10.0), mode).classification
                 out[f"{key}/classify_off_support"] = classify_net(
-                    net, (2.0, 10.0), mode, seq).classification
-                out[f"{key}/regularity"] = regularity_test(
-                    netw, mode, seq).verdict
+                    net, (2.0, 10.0), mode).classification
+                out[f"{key}/regularity"] = regularity_test(netw, mode).verdict
                 out[f"{key}/wavefront"] = list(wavefront(
-                    net, (-2.0, 0.0, 2.0), 0.5, mode=mode,
-                    seq=seq).flagged_centers())
+                    net, (-2.0, 0.0, 2.0), 0.5, mode=mode).flagged_centers())
                 for name, w in omegas.items():
                     out[f"{key}/{name}"] = classify_net_bb(
                         netw, w, mode).classification

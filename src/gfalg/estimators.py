@@ -164,18 +164,17 @@ def _graded(alphas, sups: np.ndarray, h: float,
     return values
 
 
-def _require_sequence(a: NetFunction, seq) -> WeightSequence:
-    if seq is None:
-        seq = a.weight
+def _require_sequence(a: NetFunction, seq=None) -> WeightSequence:
+    seq = a.weight if seq is None else seq
     if not isinstance(seq, WeightSequence):
         raise ValueError("a weight sequence is required")
     return seq
 
 
-def seminorm_ladder(a: NetFunction, box, h: float, alpha_max: int,
-                    seq: WeightSequence = None) -> SeminormLadder:
-    """Derivative-graded sup-norms over the box, one value per rung."""
-    seq = _require_sequence(a, seq)
+def seminorm_ladder(a: NetFunction, box, h: float,
+                    alpha_max: int) -> SeminormLadder:
+    """Sup-norms over the box graded by the net's weight, one per rung."""
+    seq = _require_sequence(a)
     alphas, sups = _derivative_sups(a, box, alpha_max, "seminorm_ladder")
     return SeminormLadder(ladder=a.ladder,
                           values=_graded(alphas, sups, h, seq),
@@ -376,24 +375,22 @@ def _pattern_search(sups_by_h, growth: dict, mode: str):
     return "not_regular", {f"{witness}_tried_max": float(found)}, residuals
 
 
-def _decay_tests(a: NetFunction, node_masks, mode: str,
-                 seq: WeightSequence = None) -> list:
+def _decay_tests(a: NetFunction, node_masks, mode: str) -> list:
     """The mode's quantifier pattern (:func:`_pattern_search`) over
     PATTERN_GRID, run on the weighted transform sups of each node mask
-    (:func:`_log_transform_sups`): one (verdict, witness, residuals) per
-    mask."""
-    scale = SequenceScale(_require_sequence(a, seq), a.ladder)
+    (:func:`_log_transform_sups`) at the scale of the net's weight
+    sequence: one (verdict, witness, residuals) per mask."""
+    scale = SequenceScale(_require_sequence(a), a.ladder)
     per_mask = _log_transform_sups(a, PATTERN_GRID, scale, node_masks)
     growth = scale.growth(PATTERN_GRID)
     return [_pattern_search(sups, growth, mode) for sups in per_mask]
 
 
-def regularity_test(a: NetFunction, mode: str = None,
-                    seq: WeightSequence = None) -> RegularityVerdict:
+def regularity_test(a: NetFunction, mode: str = None) -> RegularityVerdict:
     """Uniform Fourier-decay regularity of a compactly supported net:
-    does |fhat_eps(xi)| e^{M(|xi|/h)} stay O(e^{M(k/eps)}) in the mode's
-    quantifier pattern over the (k, h) grid?"""
+    does |fhat_eps(xi)| e^{M(|xi|/h)}, M of the net's weight sequence, stay
+    O(e^{M(k/eps)}) in the mode's quantifier pattern over the (k, h) grid?"""
     mode = mode or a.mode
-    ((verdict, witness, residuals),) = _decay_tests(a, [None], mode, seq)
+    ((verdict, witness, residuals),) = _decay_tests(a, [None], mode)
     return RegularityVerdict(verdict=verdict, mode=mode, witness=witness,
                              residual_table=residuals)

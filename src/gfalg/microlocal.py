@@ -15,7 +15,6 @@ from .errors import ResolutionError
 from .estimators import _decay_tests
 from .grids import GridSpec
 from .nets import NetFunction, _window_center, _windowed_frames
-from .weights import WeightSequence
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
 #: statements are asymptotic and the core is dominated by window mass.
@@ -138,11 +137,11 @@ def _cone_masks(cones: ConePartition, fine: GridSpec, half: bool) -> tuple:
     return tuple(masks)
 
 
-def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
-            seq: WeightSequence = None) -> tuple:
+def sigma_g(a: NetFunction, cones: ConePartition = None,
+            mode: str = None) -> tuple:
     """Per-cone decay verdicts of a compactly supported (windowed) net: a
     cone is regular when the mode's (k, h) quantifier pattern bounds the
-    cone-restricted weighted transform sup along the ladder."""
+    cone-restricted sup of |fhat| e^{M(|xi|/h)}, M of the net's weight."""
     mode = mode or a.mode
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
@@ -151,7 +150,7 @@ def sigma_g(a: NetFunction, cones: ConePartition = None, mode: str = None,
     masks = _cone_masks(cones, a.fine_grid, a.real)
     out = []
     for cone, (verdict, witness, _) in zip(cones.cones,
-                                            _decay_tests(a, masks, mode, seq)):
+                                            _decay_tests(a, masks, mode)):
         out.append(ConeVerdict(
             cone=cone, witness=witness,
             verdict="regular" if verdict == "regular" else "singular"))
@@ -222,10 +221,10 @@ def _window_box(fine: GridSpec, center, radius: float) -> tuple:
 
 
 def wavefront(a: NetFunction, window_centers, window_radius: float,
-              cones: ConePartition = None, mode: str = None,
-              seq: WeightSequence = None) -> WaveFrontReport:
+              cones: ConePartition = None,
+              mode: str = None) -> WaveFrontReport:
     """Window-and-test wave front estimate: for each center, localize the
-    net with a plateau window and run the per-cone decay test.
+    net with a plateau window and run :func:`sigma_g`'s per-cone decay test.
 
     Each window is built on its box (:func:`_window_box`) by the builder
     of :func:`nets.window_net`, noise-only rule included, so the boxed
@@ -243,7 +242,7 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
         localized = NetFunction(
             ladder=a.ladder, grid=box_grid, mode=a.mode, weight=a.weight,
             frames=_windowed_frames(a, c_arr, window_radius, box))
-        entries.extend((key, v) for v in sigma_g(localized, cones, mode, seq))
+        entries.extend((key, v) for v in sigma_g(localized, cones, mode))
     return WaveFrontReport(centers=tuple(keys), radius=window_radius,
                            mode=mode, entries=tuple(entries))
 

@@ -142,9 +142,9 @@ class PlateauProfile:
 
 @dataclass(frozen=True)
 class MollifierNet:
-    """A mollifier phi with spectrum psi on a grid, scalable in epsilon."""
+    """A mollifier phi with spectrum psi on a grid, scalable in epsilon; its
+    Gevrey index is its profile's ``sigma``."""
 
-    sigma: float
     grid: GridSpec
     profile: PlateauProfile
     psi: np.ndarray = field(repr=False, compare=False)
@@ -166,8 +166,7 @@ def build_mollifier(sigma: float, grid: GridSpec) -> MollifierNet:
     psi = profile(grid.dual_radius())
     # psi is real and even on the grid, so phi is real
     phi = inverse(psi[..., : grid.n // 2 + 1], grid)
-    return MollifierNet(sigma=sigma, grid=grid, profile=profile,
-                        psi=psi, phi=phi)
+    return MollifierNet(grid=grid, profile=profile, psi=psi, phi=phi)
 
 
 def sample_phi_eps(net: MollifierNet, eps: float) -> np.ndarray:
@@ -266,7 +265,7 @@ def verify_mollifier(net: MollifierNet) -> MollifierReport:
         rr = radius[mask]
         logmag = np.log(mag[mask])
         cs = 2.0 ** (np.arange(12, -21, -1) / 4.0)
-        seq = resolved_for(WeightSequence.gevrey(net.sigma),
+        seq = resolved_for(WeightSequence.gevrey(net.profile.sigma),
                            float(rr.max()) / float(cs[-1]))
         for c in cs:
             pen = assoc(seq, rr / c)
@@ -276,7 +275,7 @@ def verify_mollifier(net: MollifierNet) -> MollifierReport:
                 decay_c, decay_ok = float(c), True
                 break
     return MollifierReport(
-        sigma=net.sigma,
+        sigma=net.profile.sigma,
         mass_defect=float(mass_defect),
         plateau_deviation=plateau_dev,
         support_leakage=support_leak,
@@ -325,7 +324,7 @@ def export_mollifier(net: MollifierNet, out_dir: str) -> dict:
             "sha256": hashlib.sha256(raw).hexdigest(),
         }
     manifest = {
-        "sigma": net.sigma,
+        "sigma": net.profile.sigma,
         "grid": {"dim": net.grid.dim, "half_width": net.grid.half_width,
                  "n": net.grid.n},
         "dual_order": "fft",

@@ -593,9 +593,10 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
     estimator, not a proof).  Bounds read the O(1) rule
     :func:`_bounded_residual` on kappa; three readings are limits: kappa ->
     0 (Roumieu moderation of a sequence), nu -> infinity (Beurling
-    negligibility) and nu >= 0.05 (Roumieu negligibility).  A net that is
-    neither clearly grows ("neither") when, at the least grade, the second
-    half's least kappa is more than O_SLACK above the first half's largest.
+    negligibility) and nu >= 0.05 (Roumieu negligibility, on sups that
+    fall: by more than O_SLACK past rung count // 2, or to the floor).  A
+    net that is neither clearly grows ("neither") when, at the least grade,
+    the second half's least kappa is more than O_SLACK above the first's.
     """
     if mode not in ("beurling", "roumieu"):
         raise ValueError("mode must be 'beurling' or 'roumieu'")
@@ -612,7 +613,9 @@ def classify_growth(scale, log_ladders: dict, sups: np.ndarray,
         negligible = _tends_to_infinity(nu_eff)
         moderate = all(_bounded_residual(k) for k in kappas.values())
     else:
-        negligible = bool(np.min(nu_eff) >= 0.05)
+        # nu of a fixed nonzero sup falls like eps: the sups must fall too
+        falls = log_sups[len(sups) // 2] - log_sups[-1] > O_SLACK
+        negligible = bool(np.min(nu_eff) >= 0.05 and (censored[-1] or falls))
         moderate = any(scale.roumieu_moderate(k) for k in kappas.values())
     if negligible:
         classification = "negligible"

@@ -30,20 +30,18 @@ _LOG_T_MAX = math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """A positive weight sequence with M_0 = 1, kept as log M_p.
-
-    ``kind`` is "gevrey" (log M_p = s*log p!) or "custom" (user table).
-    """
+    """A positive weight sequence with M_0 = 1, kept as log M_0 .. M_p_max,
+    p_max = len(log_m) - 1.  ``kind`` is "gevrey" (log M_p = s*log p!) or
+    "custom" (user table)."""
 
     kind: str
     log_m: np.ndarray
-    p_max: int
     s: float | None = None
 
     def __post_init__(self):
         lm = np.asarray(self.log_m, dtype=float)
-        if lm.ndim != 1 or lm.shape[0] != self.p_max + 1:
-            raise ValueError("log_m must have p_max + 1 entries")
+        if lm.ndim != 1:
+            raise ValueError("log_m must be a 1-D table")
         if abs(lm[0]) > 1e-12:
             raise ValueError("M_0 must be 1 (log_m[0] = 0)")
         object.__setattr__(self, "log_m", lm)
@@ -55,13 +53,16 @@ class WeightSequence:
             raise ValueError("gevrey order s must be positive and finite")
         # log p! by cumulative sums, no factorial evaluation
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, p_max + 1)))))
-        return WeightSequence(kind="gevrey", log_m=s * log_fact, p_max=p_max, s=s)
+        return WeightSequence(kind="gevrey", log_m=s * log_fact, s=s)
 
     @staticmethod
     def custom(log_m) -> "WeightSequence":
         """The table log M_0 .. log M_p_max, with p_max = len(log_m) - 1."""
-        lm = np.asarray(log_m, dtype=float)
-        return WeightSequence(kind="custom", log_m=lm, p_max=lm.shape[0] - 1)
+        return WeightSequence(kind="custom", log_m=log_m)
+
+    @property
+    def p_max(self) -> int:
+        return len(self.log_m) - 1
 
     @property
     def m1(self) -> float:

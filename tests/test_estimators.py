@@ -1,6 +1,8 @@
 """Growth estimators: seminorm ladders, moderation/negligibility verdicts,
 derivative interpolation inequality, and uniform regularity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,11 @@ from gfalg.estimators import (KH_GRID, MODERATION_ALPHA_MAX,
                               _pattern_search, classify_net,
                               landau_kolmogorov_check, regularity_test,
                               seminorm_ladder)
+from gfalg.microlocal import sigma_g, wavefront
 from gfalg.nets import (O_SLACK, NetFunction, SequenceScale,
                         _bounded_residual, classify_growth, combine,
                         window_net)
-from gfalg.weights import WeightSequence
+from gfalg.weights import WeightFunction, WeightSequence
 
 
 class TestSeminormLadder:
@@ -120,9 +123,9 @@ class TestOneDerivativeTable:
         net = window_net(catalog(kind), 0.0, 10.0)
         with np.errstate(divide="ignore"):
             logs = {h: np.log(seminorm_ladder(
-                        net, box, h, MODERATION_ALPHA_MAX, seq).values)
+                        net, box, h, MODERATION_ALPHA_MAX).values)
                     for h in MODERATION_H_GRID}
-        sups = seminorm_ladder(net, box, 1.0, 0, seq).values
+        sups = seminorm_ladder(net, box, 1.0, 0).values
         top = max(float(np.max(np.abs(fr))) for fr in net.frames)
         expected = classify_growth(SequenceScale(seq, net.ladder), logs, sups,
                                    top, mode)
@@ -194,6 +197,20 @@ class TestRegularity:
     def test_bad_mode_rejected(self, catalog):
         with pytest.raises(ValueError):
             regularity_test(catalog("gaussian"), mode="borel")
+
+    @pytest.mark.parametrize("weight", (None, WeightFunction.power(0.5)))
+    def test_decay_tests_need_the_nets_weight_sequence(self, catalog,
+                                                        weight):
+        # the decay scale is the net's own weight: a net without a weight
+        # sequence is refused by every reader of the decay path
+        net = replace(window_net(catalog("gaussian"), 0.0, 10.0),
+                      weight=weight)
+        for run in (lambda: regularity_test(net),
+                    lambda: sigma_g(net),
+                    lambda: wavefront(net, (0.0,), 0.5)):
+            with pytest.raises(ValueError,
+                               match="a weight sequence is required"):
+                run()
 
     @pytest.mark.parametrize("mode", ("beurling", "roumieu"))
     def test_zero_net_regular(self, catalog, mode):

@@ -2,6 +2,7 @@
 classification of generalized numbers."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,6 +371,18 @@ class TestNumberClassification:
         assert v.classification == "inconclusive"
         assert not v.moderate and not v.negligible
 
+    def test_roumieu_negligible_needs_falling_sups(self, seq):
+        # a fixed nonzero value has nu ~ eps: min nu = 0.0721 >= 0.05 on
+        # six rungs, but the sups do not fall, so it is not negligible (the
+        # order-0 sup of gaussian_times_sine on (2, 10) at depth 6)
+        z = GeneralizedNumber(EpsilonLadder(2.0 ** -3, 0.5, 6),
+                              np.full(6, 0.004976))
+        v = classify_generalized_number(z, seq, "roumieu")
+        assert v.fitted["k_negligible"] == pytest.approx(0.0721, abs=1e-4)
+        assert v.classification == "moderate"
+        assert classify_generalized_number(
+            z, seq, "beurling").classification == "moderate"
+
     def test_zero_is_negligible(self, small_rig):
         _, ladder, seq = small_rig
         v = classify_generalized_number(self._number(ladder, lambda e: 0.0),
@@ -540,10 +553,11 @@ class TestSequenceScaleReads:
         custom = WeightSequence.custom(WeightSequence.gevrey(2.0, 200).log_m)
         for mode in ("beurling", "roumieu"):
             net = window_net(catalog("gaussian"), 0.0, 10.0)
-            got = regularity_test(net, mode, custom)
-            want = regularity_test(net, mode, seq)
+            got = regularity_test(replace(net, weight=custom), mode)
+            want = regularity_test(net, mode)
+            assert net.weight is seq
             assert (got.verdict, got.witness) == (want.verdict, want.witness)
             assert got.verdict == "regular"
         with pytest.raises(SaturationError):
-            regularity_test(window_net(catalog("delta"), 0.0, 10.0),
-                            "beurling", custom)
+            regularity_test(replace(window_net(catalog("delta"), 0.0, 10.0),
+                                    weight=custom), "beurling")

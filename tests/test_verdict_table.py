@@ -9,9 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from gfalg import EpsilonLadder, GridSpec
+
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "verdict_table.py"
 #: the 160 verdicts at depths 6 and 8, as printed at 850dfb8.  A change that
-#: moves a verdict on purpose updates this file and says why.
+#: moves a verdict on purpose updates this file and says why:
+#: 6/gaussian_times_sine/roumieu/classify_off_support reads "moderate",
+#: where it read "negligible", since Roumieu negligibility also asks the
+#: sups to fall; the function is nonzero on (2, 10), with sup 0.004976 on
+#: every rung.
 _FIXTURE = (Path(__file__).resolve().parent / "fixtures"
             / "verdict_table_6_8.json")
 _spec = importlib.util.spec_from_file_location("verdict_table", _SCRIPT)
@@ -33,11 +39,11 @@ DEPTH_FLIPS = {
     # regular at depths 6-7, classically not_regular from depth 8
     "heaviside/roumieu/regularity": (8,),
     # off the support (2, 10): delta and delta_prime read moderate before
-    # the classical negligible, gaussian_times_sine reads negligible at
-    # depth 6 before the classical moderate; ROADMAP item 3
+    # the classical negligible; ROADMAP item 3.  gaussian_times_sine no
+    # longer reads negligible at depth 6: its constant sup 0.004976 does
+    # not fall, and Roumieu negligibility asks falling sups
     "delta/beurling/classify_off_support": (10,),
     "delta_prime/beurling/classify_off_support": (9,),
-    "gaussian_times_sine/roumieu/classify_off_support": (7,),
 }
 
 
@@ -110,3 +116,37 @@ def test_verdicts_agree_across_depths_or_are_inconclusive(table):
         if at:
             flips[rest] = tuple(at)
     assert flips == DEPTH_FLIPS
+
+
+#: the depths at which the rig variants are read.  At depths 9 and 10 no
+#: variant moves a key either, but those two depths take about three times
+#: as long as these three.
+RIG_DEPTHS = (6, 7, 8)
+
+#: rig variants, each as the script's (GridSpec, EpsilonLadder) and the
+#: keys it moves off the reference rig, with their readings there.  The
+#: half-octave ladder (ratio 2^-1/2, 2d - 1 rungs over the same eps range)
+#: finds the wave front at 0 one depth earlier than the octave ladder in
+#: two readings of DEPTH_FLIPS.
+RIGS = {
+    "period_doubled": (lambda *_: GridSpec(1, 40.0, 8192), EpsilonLadder, {}),
+    "spacing_halved": (lambda *_: GridSpec(1, 20.0, 8192), EpsilonLadder, {}),
+    "half_octave": (GridSpec,
+                    lambda eps0, ratio, count: EpsilonLadder(
+                        eps0, ratio ** 0.5, 2 * count - 1),
+                    {"6/delta/beurling/wavefront": [0.0],
+                     "7/heaviside/roumieu/wavefront": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("rig", RIGS)
+def test_verdicts_do_not_depend_on_the_rig(table, monkeypatch, rig):
+    grid, ladder, moved = RIGS[rig]
+    monkeypatch.setattr(verdict_table, "GridSpec", grid)
+    monkeypatch.setattr(verdict_table, "EpsilonLadder", ladder)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = verdict_table.table(RIG_DEPTHS)
+    want = _at(table, *RIG_DEPTHS)
+    assert set(got) == set(want) and len(got) == 240
+    assert {k: v for k, v in got.items() if v != want[k]} == moved

@@ -173,6 +173,21 @@ class TestSequenceBasics:
         back = WeightSequence.from_json(cus.to_json())
         assert np.allclose(back.log_m, cus.log_m)
 
+    def test_depth_is_the_table_length(self):
+        table = WeightSequence.gevrey(2.0, 40).log_m[:17]
+        assert WeightSequence.custom(table).p_max == len(table) - 1 == 16
+        assert WeightSequence.custom(list(table)).p_max == 16
+        assert WeightSequence.gevrey(1.5, 128).p_max == 128
+        assert WeightSequence.gevrey(1.5, 128).to_json() == {
+            "kind": "gevrey", "s": 1.5, "p_max": 128}
+
+    @pytest.mark.parametrize("log_m", [0.0, [[0.0, 1.0]], [[0.0], [1.0]]])
+    def test_table_must_be_one_dimensional(self, log_m):
+        with pytest.raises(ValueError, match="1-D"):
+            WeightSequence.custom(log_m)
+        with pytest.raises(ValueError, match="1-D"):
+            WeightSequence(kind="custom", log_m=log_m)
+
     @given(s=st.floats(min_value=1.05, max_value=3.0))
     @settings(max_examples=25, deadline=None)
     def test_gevrey_log_convex(self, s):
