@@ -2,7 +2,8 @@
 """Record a parent/change benchmark comparison in BENCH_<label>.json.
 
     python3 scripts/bench_record.py --parent REV [--change REV] --label NAME
-        [--pairs WORKLOAD=N ...] [--first-seed S] [--out PATH]
+        [--pairs WORKLOAD=N ...] [--first-seed S] [--claim WORKLOAD/METRIC]
+        [--out PATH]
 
 Exports the ``src/`` and ``bench/`` of the parent revision with
 ``git archive``, and those of the change (a revision, or by default the
@@ -19,6 +20,14 @@ cores, platform, Python, NumPy, and the BLAS library NumPy was built with
 and its version.  A run's ``wall_s`` is the median over however many
 passes fit in its time, and later passes run faster than the first, so
 ``wall_s`` compares fairly only between sides that fit alike pass counts.
+
+Each workload's metrics also say whether the change's median is within the
+metric's bound in BENCHMARK.json (``within_bound``): at most (1 + bound)
+times the parent's median for a metric where lower is better, at least
+(1 - bound) times it where higher is.  ``--claim WORKLOAD/METRIC`` records
+whether a claimed gain holds: the change wins at least 9 in 10 of the
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range.
 
 The workloads, the metrics and the run length come from BENCHMARK.json at
 the top of the repository; each workload gets 3 pairs unless ``--pairs``
@@ -102,11 +111,33 @@ def spread(values: list) -> dict:
             "n": len(values)}
 
 
+def within_bound(parent: float, change: float, better: str,
+                 bound: float) -> bool:
+    """Is the change's median no worse than the parent's by more than
+    ``bound``, a fraction of the parent's median?"""
+    if better == "lower":
+        return change <= parent * (1.0 + bound)
+    return change >= parent * (1.0 - bound)
+
+
+def claim_holds(entry: dict) -> bool:
+    """The claim rule on one metric's summary: the change won at least 9 in
+    10 of the pairs, and its median is better than the parent's by more
+    than the parent's interquartile range."""
+    parent, change = entry["parent"], entry["change"]
+    gain = parent["median"] - change["median"]
+    if entry["better"] != "lower":
+        gain = -gain
+    return (10 * entry["change_won"] >= 9 * entry["pairs"]
+            and gain > parent["q3"] - parent["q1"])
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    """Per workload and metric: each side's median and quartiles, and the
-    pairs the change won (ties count for neither side).  Under "passes",
-    each side's median pass count, when every run of the workload has
-    one."""
+    """Per workload and metric: each side's median and quartiles, the
+    pairs the change won (ties count for neither side) and, for a metric
+    with a bound, whether the change is within it (:func:`within_bound`).
+    Under "passes", each side's median pass count, when every run of the
+    workload has one."""
     out = {}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -125,10 +156,16 @@ def summarize(runs: list, metrics: list) -> dict:
                      for s in ("parent", "change")}
             wins = sum(sign * c < sign * p
                        for c, p in zip(sides["change"], sides["parent"]))
-            out[wl][name] = {"unit": m["unit"], "better": m["better"],
-                             "parent": spread(sides["parent"]),
-                             "change": spread(sides["change"]),
-                             "change_won": wins, "pairs": len(pairs)}
+            entry = {"unit": m["unit"], "better": m["better"],
+                     "parent": spread(sides["parent"]),
+                     "change": spread(sides["change"]),
+                     "change_won": wins, "pairs": len(pairs)}
+            if "bound" in m:
+                entry["bound"] = m["bound"]
+                entry["within_bound"] = within_bound(
+                    entry["parent"]["median"], entry["change"]["median"],
+                    m["better"], m["bound"])
+            out[wl][name] = entry
     return out
 
 
@@ -168,6 +205,8 @@ def main(argv=None) -> int:
                     help=f"pairs for one workload (default {DEFAULT_PAIRS})")
     ap.add_argument("--first-seed", type=int, default=1, metavar="S",
                     help="seed of the first pair (default 1)")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="record whether this gain holds by the claim rule")
     ap.add_argument("--out", help="output path (default BENCH_<label>.json "
                     "at the top of the repository)")
     args = ap.parse_args(argv)
@@ -181,6 +220,12 @@ def main(argv=None) -> int:
             ap.error(f"--pairs {item!r}: want WORKLOAD=N with WORKLOAD one "
                      f"of {', '.join(workloads)} and N >= 0")
         pairs[name] = int(count)
+    if args.claim:
+        wl, _, metric = args.claim.partition("/")
+        if (not pairs.get(wl)
+                or metric not in [m["name"] for m in spec["end_to_end"]]):
+            ap.error(f"--claim {args.claim!r}: want WORKLOAD/METRIC with a "
+                     "workload that runs pairs and an end-to-end metric")
     seconds = float(spec["run_seconds"])
     out_path = Path(args.out) if args.out else TOP / f"BENCH_{args.label}.json"
 
@@ -237,6 +282,10 @@ def main(argv=None) -> int:
         "trace": traces,
         "runs": runs,
     }
+    if args.claim:
+        wl, _, metric = args.claim.partition("/")
+        record["claim"] = {"claim": args.claim, "holds": claim_holds(
+            record["summary"][wl][metric])}
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"written: {out_path}", file=sys.stderr)
     return 0

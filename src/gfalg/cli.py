@@ -331,9 +331,14 @@ def _ladder_csv(ladder: EpsilonLadder, columns: dict) -> str:
 
 
 def _frame_table(net) -> str:
-    dx = net.fine_grid.spacing
-    l1 = [float(np.sum(np.abs(fr))) * dx ** net.grid.dim for fr in net.frames]
-    return _ladder_csv(net.ladder, {"sup": net.sups, "l1": l1})
+    """sup |f_eps| and its L1 norm per rung, read on each rung's reading
+    grid (``NetFunction.reading_grids``)."""
+    sups, l1 = [], []
+    for s, g in zip(net.samples, net.reading_grids):
+        mag = np.abs(s)
+        sups.append(float(np.max(mag)))
+        l1.append(float(np.sum(mag)) * g.spacing ** g.dim)
+    return _ladder_csv(net.ladder, {"sup": sups, "l1": l1})
 
 
 def cmd_embed(cfg: ExperimentConfig) -> tuple[dict, dict]:

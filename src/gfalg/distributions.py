@@ -1,6 +1,13 @@
 """Catalog of model singular objects with exact spectral data, and their
 regularization f * phi_eps into nets.
 
+A net of a real 1-D kind is its band spectra f^ psi(eps_j |xi|), carried
+on the half axis: each rung is read from its band on its reading grid,
+the coarsest refinement of the base grid whose Nyquist frequency holds
+ALIAS_MARGIN * 2/eps_j (:func:`rung_oversample`), and its frames on the
+finest rung's grid are a view built one frame at a time when read (see
+``nets``).
+
 Spectral data use the convention fhat(xi) = int f(x) e^{+i x xi} dx, under
 which delta -> 1, delta' -> -i*xi, exp(-x^2) -> sqrt(pi) exp(-xi^2/4) and
 pv(1/x) -> i*pi*sgn(xi).
@@ -16,11 +23,8 @@ import numpy as np
 from .errors import AliasingError
 from .grids import GridSpec, forward, inverse
 from .mollifier import MollifierNet, plateau_window
-from .nets import EpsilonLadder, NetFunction
-
-#: internal head-room factor above the bare aliasing bound eps*Nyquist >= 2;
-#: the margin absorbs spectral broadening from windowing.
-ALIAS_MARGIN = 2.0
+from .nets import (ALIAS_MARGIN, EpsilonLadder, NetFunction, _band_samples,
+                   _LazyRungs, _holding)
 
 MAX_OVERSAMPLE = 64
 POLYNOMIAL_WINDOW_RADIUS = 5.0
@@ -113,12 +117,9 @@ def rung_oversample(eps: float, grid: GridSpec) -> int:
     """Smallest power-of-two refinement m of the grid under whose Nyquist
     frequency m*pi/dx the scaled mollifier spectrum, which ends at 2/eps,
     fits with head-room: ALIAS_MARGIN * 2/eps <= m * pi/dx.  The search
-    stops at 2 * MAX_OVERSAMPLE, which stands for "none up to the cap"."""
-    need = ALIAS_MARGIN * 2.0 / (eps * grid.dual_max)
-    m = 1
-    while m < need and m <= MAX_OVERSAMPLE:
-        m *= 2
-    return m
+    stops at 2 * MAX_OVERSAMPLE, which stands for "none up to the cap".
+    It is the reading grid of such a rung (``NetFunction.reading_grids``)."""
+    return _holding(grid, ALIAS_MARGIN * 2.0 / eps, 2 * MAX_OVERSAMPLE)
 
 
 def required_oversample(ladder: EpsilonLadder, grid: GridSpec) -> int:
@@ -180,15 +181,19 @@ def _rung_profiles(moll: MollifierNet, ladder: EpsilonLadder,
 def regularize(m: ModelDistribution, moll: MollifierNet,
                ladder: EpsilonLadder, grid: GridSpec,
                mode: str = "beurling", weight=None) -> NetFunction:
-    """The embedding on the catalog: frames are f * phi_eps, built on an
+    """The embedding on the catalog: frames are f * phi_eps, on an
     internally refined grid chosen so every psi(eps*xi) is alias-free.
 
-    Real frames are built from the half axis, and what depends only on the
-    grid and the ladder is built once per call: psi at eps_min, which the
-    other rungs of a ladder of ratio 2^-p read strided, bitwise their own
-    evaluation (:func:`_rung_profiles`), and the heaviside kind's divisor
-    and ramp.  Real frames carry their band spectra (``NetFunction.spectra``).
-    The complex frames of a table evaluate psi on the full axis per rung."""
+    A real kind's net carries each rung's band spectrum f^ psi(eps_j |xi|)
+    on the half axis (``NetFunction.spectra``) and transforms nothing here:
+    its rungs are read on their own grids from the bands
+    (``NetFunction.samples``), and its frames are a view that inverts a
+    band on the fine grid when a frame is first read.  What depends only on
+    the grid and the ladder is built once per call: psi at eps_min, which
+    the other rungs of a ladder of ratio 2^-p read strided, bitwise their
+    own evaluation (:func:`_rung_profiles`), and the heaviside kind's
+    divisor.  The complex frames of a table evaluate psi on the full axis
+    per rung."""
     if m.kind == "tensor2d":
         return _regularize_tensor(m, moll, ladder, grid, mode, weight)
     if grid.dim != 1:
@@ -217,20 +222,20 @@ def regularize(m: ModelDistribution, moll: MollifierNet,
     ramp = m.kind == "heaviside"
     if ramp:
         divisor = -1j * xi
-        ramp_x = 0.5 + fine.axis() / (2.0 * fine.half_width)
-    frames, bands = [], []
+    bands = []
     for psi_eps in _rung_profiles(moll, ladder, abs_xi):
-        spec = (np.divide(psi_eps, divisor, where=xi != 0,
-                          out=np.zeros(xi.size, dtype=complex))
-                if ramp else fhat_vals * psi_eps)
-        frames.append(inverse(spec, fine))
-        if ramp:
-            frames[-1] += ramp_x
-        # psi_eps is nonzero on a prefix of the half axis; copied out of spec
-        bands.append(spec[: np.count_nonzero(psi_eps)].copy())
-    net = NetFunction(ladder=ladder, grid=grid, frames=tuple(frames),
-                      mode=mode, weight=weight, oversample=over)
+        # psi_eps is nonzero on a prefix of the half axis
+        k = np.count_nonzero(psi_eps)
+        bands.append(np.divide(psi_eps[:k], divisor[:k], where=xi[:k] != 0,
+                               out=np.zeros(k, dtype=complex))
+                     if ramp else fhat_vals[:k] * psi_eps[:k])
+    net = NetFunction(ladder=ladder, grid=grid, mode=mode, weight=weight,
+                      oversample=over, frames=_LazyRungs(
+                          lambda j: _band_samples(bands[j], ramp, fine),
+                          ladder.count, real=True))
     object.__setattr__(net, "spectra", (tuple(bands), ramp))
+    object.__setattr__(net, "reach", tuple(
+        ALIAS_MARGIN * moll.profile.r_outer / eps for eps in ladder.values))
     return net
 
 

@@ -4,23 +4,18 @@ Landau-Kolmogorov inequality check, and the Fourier-decay regularity test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import rung_oversample
 from .grids import GridSpec, _symbols, forward, inverse
+from .mollifier import SPECTRAL_FLOOR
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _bounded_residual, _spectrum, _warn_boundary_mass,
-                   classify_growth)
+                   _bounded_residual, _rung_spectrum, _samples, _spectrum,
+                   _stored, _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence
-
-#: relative magnitude under which transform samples count as noise, not
-#: data, in decay fits.  Set well above fft rounding noise: the spatial
-#: windows used for localization carry heavy spectral tails of their own,
-#: and keeping those tails down to rounding level lets an eps-independent
-#: window artifact dominate the weighted sups and mask genuine growth.
-SPECTRAL_FLOOR = 1e-8
 
 #: geometric search grid for the (k, h) quantifier patterns.
 KH_GRID = 2.0 ** np.arange(-4, 5)
@@ -96,14 +91,21 @@ def _key_radii(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     return np.hypot(abs_xi[lo], abs_xi[hi])
 
 
+def _box_refinement(a: NetFunction, box) -> int:
+    """The least refinement of the net's grid that holds a node of the
+    box."""
+    m = 1
+    while _box_slices(a.grid.refine(m), box) is None:
+        m *= 2
+    return m
+
+
 def _rung_oversamples(a: NetFunction, box) -> list:
     """Per rung, the refinement m_j of the base grid on which the rung's
     derivatives are taken: the alias rule of :func:`rung_oversample` at
     eps_j, raised until the box holds a node of that grid, and capped at the
     net's oversample (its fine grid holds a node of the box)."""
-    m_box = 1
-    while _box_slices(a.grid.refine(m_box), box) is None:
-        m_box *= 2
+    m_box = _box_refinement(a, box)
     return [min(max(rung_oversample(float(eps), a.grid), m_box), a.oversample)
             for eps in a.ladder.values]
 
@@ -113,11 +115,14 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     """The multi-indices |alpha| <= alpha_max and the table of
     sup_box |D^alpha f_eps|, one row per alpha and one column per rung.
 
-    The order-0 row reads the stored frames.  The derivatives of rung j are
+    The order-0 row reads each rung where ``a.sups`` does
+    (:func:`nets._stored`), on a grid refined until the box holds a node of
+    it (:func:`nets._samples`): a net with carried bands on its reading
+    grids, any other net on its frames.  The derivatives of rung j are
     taken on its own alias-free grid, the base grid refined m_j times (see
-    :func:`_rung_oversamples`): its spectrum at |k| <= n_j/2 is read once
-    (:func:`nets._spectrum`), and each alpha != 0 costs one inverse of
-    size n_j, whose sup is read at that grid's box nodes.
+    :func:`_rung_oversamples`): the frame's spectrum at |k| <= n_j/2 is
+    read once (:func:`nets._spectrum`), and each alpha != 0 costs one
+    inverse of size n_j, whose sup is read at that grid's box nodes.
     Frames are processed one at a time, and m_j does not decrease along
     the ladder, so each rung grid's symbols (:func:`grids._symbols`) are
     built once, on that grid, and one grid's symbols are held at a time.
@@ -125,27 +130,33 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
     fine = a.fine_grid
-    box_fine = _box_slices(fine, box)
-    if box_fine is None:
+    # the box's nodes on each grid the call reads, found once per grid
+    box_on = functools.cache(lambda g: _box_slices(g, box))
+    if box_on(fine) is None:
         raise ValueError("box contains no grid points")
     alphas = _multi_indices(a.grid.dim, alpha_max)
     # 2-D symbols are built on the full grid: 2-D frames keep the full
     # transforms here
     half = a.grid.dim == 1 and a.real
     sups = np.zeros((len(alphas), a.ladder.count))
+    box_grid = a.grid.refine(_box_refinement(a, box))
     if alpha_max:
         rung_m = _rung_oversamples(a, box)
     coarse = None
-    for j, (eps, fr) in enumerate(zip(a.ladder.values, a.frames)):
-        sups[0, j] = np.abs(fr[box_fine]).max()
+    for j, eps in enumerate(a.ladder.values):
+        # where a.sups reads the rung (nets._stored), refined for the box
+        g = a.reading_grids[j] if a.spectra is not None else fine
+        if g.n < box_grid.n:
+            g = box_grid
+        sups[0, j] = np.abs(_samples(a, j, g)[box_on(g)]).max()
         if not alpha_max:
             continue
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
             coarse = a.grid.refine(rung_m[j])
             symbols = _symbols(coarse, alphas[1:], half,
                                cut=coarse.n < fine.n)
-            box_coarse = _box_slices(coarse, box)
-        _warn_boundary_mass(eps, fr, a.sups[j], warn_label)
+            box_coarse = box_on(coarse)
+        _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
         for i, sym in enumerate(symbols, start=1):
             deriv = inverse(fhat * sym, coarse)
@@ -264,70 +275,91 @@ class RegularityVerdict:
         }
 
 
-def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
-                        node_masks) -> list:
-    """For each node mask (None admits every node), each rung j and each
-    grade h: max over the mask's admissible dual nodes of
-    log|fhat_j(xi)| + M(|xi|/h).  Nodes below the fft noise floor of the
-    frame are excluded (they carry rounding noise, not decay data).
-
-    Each frame's spectrum is read once (:func:`nets._spectrum`), and only
-    its nodes above the ladder-wide floor are kept.  The penalties
-    M(|xi|/h) come from the scale (:meth:`SequenceScale.penalties`),
-    evaluated at the radii of kept nodes alone, once per distinct radius.
-    A mask is read at the nodes some frame keeps (the data nodes), and a
-    mask that agrees there with an earlier one shares that mask's sups.
-    The masks may be a generator yielding one mask at a time.  Returns the
-    list of per-mask {h: sups} dicts.
-
-    Real frames are read on the half spectrum, where |fhat| and
-    M(|xi|/h) are even; a mask is given in the layout of the frames'
-    spectrum, over the half spectrum for real frames (see
-    ``microlocal._cone_masks``).
-    """
-    fine = a.fine_grid
+def _kept_spectra(a: NetFunction, on_fine: bool) -> tuple:
+    """Each rung's spectrum, read once, at the nodes above the fft noise
+    floor of the ladder: the grid it is read on (the rung's reading grid,
+    :func:`nets._rung_spectrum`, or with ``on_fine`` the fine grid,
+    :func:`nets._spectrum`), and per rung the flat indices of the kept
+    nodes and |fhat| there.  Real frames are read on the half spectrum."""
     half = a.real
-    width = fine.n // 2 + 1 if half else fine.n
-    n_keys = (fine.n // 2 + 1) ** fine.dim
-    grades = np.asarray(grades, dtype=float)
+    grids = [a.fine_grid if on_fine else g for g in a.reading_grids]
     # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
     # that floor is at most the ladder-wide one, so no node is lost, and no
     # full-size |fhat_j| outlives its transform
-    frames, top = [], 0.0
-    for j in range(a.ladder.count):
-        mag = np.abs(_spectrum(a, j, half)).ravel()
+    kept, top = [], 0.0
+    for j, g in enumerate(grids):
+        fhat = (_rung_spectrum(a, j, half) if g == a.reading_grids[j]
+                else _spectrum(a, j, half))
+        mag = np.abs(fhat).ravel()
         peak = float(mag.max())
         nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
-        frames.append((nodes, mag[nodes]))
+        kept.append((nodes, mag[nodes]))
         top = max(top, peak)
     # one floor for the whole ladder: frames windowed down to rounding noise
     # must not be re-normalized into fake decay data
     cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
-    # the nodes some frame keeps (the data nodes) and their radius keys;
-    # each frame's arrays are replaced in turn, to bound the peak memory
-    data = np.zeros(fine.n ** (fine.dim - 1) * width, dtype=bool)
+    for j, (nodes, mag) in enumerate(kept):
+        above = mag > cut
+        kept[j] = (nodes[above], mag[above])
+    return grids, kept
+
+
+def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
+                        node_masks) -> list:
+    """For each node mask (None admits every node), each rung j and each
+    grade h: max over the mask's admissible dual nodes of
+    log|fhat_j(xi)| + M(|xi|/h), at the nodes :func:`_kept_spectra` keeps
+    (those below the fft noise floor carry rounding noise, not decay data).
+
+    Each rung is read on its reading grid, or on the fine grid when a mask
+    is one array, over the fine grid's spectrum; any other mask maps each
+    reading grid to its mask there.  The penalties M(|xi|/h) come from the
+    scale (:meth:`SequenceScale.penalties`), evaluated at the radii of kept
+    nodes alone, once per distinct radius.  A mask is read at the nodes
+    some rung on its grid keeps (the data nodes), and a mask that agrees
+    there with an earlier one shares that mask's sups.  Returns the list of
+    per-mask {h: sups} dicts.
+
+    Real frames are read on the half spectrum, where |fhat| and
+    M(|xi|/h) are even; a mask is given in the layout of the spectrum it
+    reads, over the half spectrum for real frames (see
+    ``microlocal._cone_masks``).  The reading grids of one net share their
+    dual spacing, so a radius key names the same |xi| on each of them.
+    """
+    node_masks = list(node_masks)
+    on_fine = any(isinstance(mask, np.ndarray) for mask in node_masks)
+    grids, frames = _kept_spectra(a, on_fine)
+    if on_fine:
+        node_masks = [m if m is None else {grids[0]: m} for m in node_masks]
+    half = a.real
+    top_grid = max(grids, key=lambda g: g.n)
+    n_keys = (top_grid.n // 2 + 1) ** top_grid.dim
+    grades = np.asarray(grades, dtype=float)
+    # the nodes some frame on each grid keeps (the data nodes) and their
+    # radius keys; each frame's arrays are replaced in turn, to bound the
+    # peak memory
+    data = {g: np.zeros(g.n ** (g.dim - 1) * (g.n // 2 + 1 if half else g.n),
+                        dtype=bool) for g in dict.fromkeys(grids)}
     used = np.zeros(n_keys, dtype=bool)
-    for j, (nodes, vals) in enumerate(frames):
-        above = vals > cut
-        nodes = nodes[above]
-        keys = _radius_keys(fine, width, nodes)
-        data[nodes] = True
+    for j, ((nodes, vals), g) in enumerate(zip(frames, grids)):
+        keys = _radius_keys(g, g.n // 2 + 1 if half else g.n, nodes)
+        data[g][nodes] = True
         used[keys] = True
-        frames[j] = (nodes, np.log(vals[above]), keys)
+        frames[j] = (nodes, np.log(vals), keys)
     # M(|xi|/h) depends on |xi| alone: evaluate it once per radius key in use
-    penalties = scale.penalties(_key_radii(fine, np.flatnonzero(used)),
+    penalties = scale.penalties(_key_radii(top_grid, np.flatnonzero(used)),
                                 grades)
     # per frame and kept node: the index of its radius key among those in use
     rank = np.cumsum(used) - 1
     for j, (nodes, log_f, keys) in enumerate(frames):
         frames[j] = (nodes, log_f, rank[keys])
     del rank
-    data = np.flatnonzero(data)
+    data = {g: np.flatnonzero(d) for g, d in data.items()}
     results, seen = [], []
     for node_mask in node_masks:
         inside = None
         if node_mask is not None:
-            inside = node_mask[data]
+            inside = np.concatenate([node_mask[g][d] for g, d in data.items()])
             shared = next((res for earlier, res in seen
                            if np.array_equal(earlier, inside)), None)
             if shared is not None:
@@ -336,7 +368,7 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
         sups = np.full((len(grades), a.ladder.count), -np.inf)
         for j, (nodes, log_f, pen_at) in enumerate(frames):
             if node_mask is not None:
-                sel = node_mask[nodes]
+                sel = node_mask[grids[j]][nodes]
                 log_f, pen_at = log_f[sel], pen_at[sel]
             if log_f.size == 0:
                 continue

@@ -4,17 +4,17 @@ net frames, and comparison against classical singularity oracles."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ResolutionError
 from .estimators import _decay_tests
 from .grids import GridSpec
-from .nets import NetFunction, _window_center, _windowed_frames
+from .nets import NetFunction, _window_center, _windowed, _windowed_frames
 
 #: dual nodes with |xi| below this are excluded from cone sups: decay
 #: statements are asymptotic and the core is dominated by window mass.
@@ -112,14 +112,17 @@ def _fold(node_mask: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (full[:, : cols.size] | full[np.ix_(rows, cols)]).ravel()
 
 
-@lru_cache(maxsize=4)
+@functools.cache
 def _cone_masks(cones: ConePartition, fine: GridSpec, half: bool) -> tuple:
     """One flat dual-node mask per cone, without the core |xi| <
     LOW_FREQUENCY_CUTOFF.  With ``half`` each mask is folded onto the half
     spectrum that real frames take (see :func:`_fold`).  The masks
     depend on the grid and the cones alone, so every window and net on the
-    grid shares them.  A cone of fewer than MIN_CONE_NODES nodes of the
-    full grid raises ResolutionError."""
+    grid shares them: they are built once per process for each grid, in a
+    table without bound, which a run's few grids (a 1-D wave front's
+    per-rung boxes, the 2-D rig's grid) keep small and which every pass
+    after the first reads alike.  A cone of fewer than MIN_CONE_NODES nodes
+    of the full grid raises ResolutionError."""
     radius = fine.dual_radius()
     duals = fine.dual_points()
     high = radius >= LOW_FREQUENCY_CUTOFF
@@ -141,13 +144,18 @@ def sigma_g(a: NetFunction, cones: ConePartition = None,
             mode: str = None) -> tuple:
     """Per-cone decay verdicts of a compactly supported (windowed) net: a
     cone is regular when the mode's (k, h) quantifier pattern bounds the
-    cone-restricted sup of |fhat| e^{M(|xi|/h)}, M of the net's weight."""
+    cone-restricted sup of |fhat| e^{M(|xi|/h)}, M of the net's weight.
+    Each rung is read on its reading grid, with the cone masks of that
+    grid (:func:`_cone_masks`)."""
     mode = mode or a.mode
     if cones is None:
         cones = ConePartition.default(a.grid.dim)
     if cones.dim != a.grid.dim:
         raise ValueError("cone partition dimension mismatch")
-    masks = _cone_masks(cones, a.fine_grid, a.real)
+    by_grid = {g: _cone_masks(cones, g, a.real)
+               for g in dict.fromkeys(a.reading_grids)}
+    masks = [{g: on_grid[i] for g, on_grid in by_grid.items()}
+             for i in range(len(cones.cones))]
     out = []
     for cone, (verdict, witness, _) in zip(cones.cones,
                                             _decay_tests(a, masks, mode)):
@@ -202,8 +210,10 @@ def _window_box(fine: GridSpec, center, radius: float) -> tuple:
     is transformed: per axis the smallest power-of-two number m >= 256 of
     nodes spanning at least BOX_DIAMETERS window diameters, or all n nodes
     if no smaller block does, placed around the centre and clamped inside
-    the grid.  Returns one slice per axis and the box's grid, which keeps
-    the spacing dx.
+    the grid.  Its start is a multiple of m/256 nodes, 1/256 of its side:
+    the boxes of one window on refinements of a grid, of one side, then
+    hold the same interval.  Returns one slice per axis and the box's grid,
+    which keeps the spacing dx.
 
     A windowed frame is exactly 0 beyond ``radius`` and the box holds that
     support, so the frame's transform on the box is its transform on
@@ -213,9 +223,11 @@ def _window_box(fine: GridSpec, center, radius: float) -> tuple:
     m = 256
     while m < fine.n and m * dx < BOX_DIAMETERS * 2.0 * radius:
         m *= 2
+    step = m // 256
     blocks = []
     for c in center:
-        start = min(max(fine.index_of(c) - m // 2, 0), fine.n - m)
+        start = step * (round((c + fine.half_width) / (step * dx)) - 128)
+        start = min(max(start, 0), fine.n - m)
         blocks.append(slice(start, start + m))
     return tuple(blocks), GridSpec(fine.dim, 0.5 * m * dx, m)
 
@@ -226,23 +238,32 @@ def wavefront(a: NetFunction, window_centers, window_radius: float,
     """Window-and-test wave front estimate: for each center, localize the
     net with a plateau window and run :func:`sigma_g`'s per-cone decay test.
 
-    Each window is built on its box (:func:`_window_box`) by the builder
-    of :func:`nets.window_net`, noise-only rule included, so the boxed
-    frames are bitwise the block of the fine-grid windowed frames; the
-    decay test reads the box's spectra."""
+    Each window is built on its box (:func:`_window_box`).  A net with a
+    reach (``NetFunction.reach``) is windowed per rung
+    (:func:`nets._windowed`): the box is placed on the coarsest rung's
+    reading grid, each rung reads the same interval of its own reading
+    grid, and the boxed net's frames are bitwise the block of the
+    fine-grid windowed frames.  Any other net is windowed on the box of
+    its fine grid by the builder of :func:`nets.window_net`, noise-only
+    rule included.  The decay test reads the boxes' spectra."""
     mode = mode or a.mode
     fine = a.fine_grid
-    keys = []
-    entries = []
-    for center in window_centers:
-        c_arr = _window_center(a.grid, center, window_radius)
-        key = float(c_arr[0]) if a.grid.dim == 1 else tuple(map(float, c_arr))
-        keys.append(key)
-        box, box_grid = _window_box(fine, c_arr, window_radius)
-        localized = NetFunction(
+    centers = [_window_center(a.grid, c, window_radius)
+               for c in window_centers]
+    if a.reach is None:
+        # one box's frames at a time: a 2-D box may be the whole grid
+        boxes = (_window_box(fine, c, window_radius) for c in centers)
+        localized = (NetFunction(
             ladder=a.ladder, grid=box_grid, mode=a.mode, weight=a.weight,
-            frames=_windowed_frames(a, c_arr, window_radius, box))
-        entries.extend((key, v) for v in sigma_g(localized, cones, mode))
+            frames=_windowed_frames(a, c, window_radius, box))
+            for c, (box, box_grid) in zip(centers, boxes))
+    else:
+        localized = _windowed(a, centers, window_radius, _window_box)
+    keys = [float(c[0]) if a.grid.dim == 1 else tuple(map(float, c))
+            for c in centers]
+    entries = []
+    for key, net in zip(keys, localized):
+        entries.extend((key, v) for v in sigma_g(net, cones, mode))
     return WaveFrontReport(centers=tuple(keys), radius=window_radius,
                            mode=mode, entries=tuple(entries))
 

@@ -9,6 +9,7 @@ same index.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AliasingError, ResolutionError
-from .grids import GridSpec, integrate, inverse
+from .grids import GridSpec, forward, integrate, inverse
 from .weights import WeightSequence, assoc, resolved_for
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
@@ -32,6 +33,14 @@ _BREAKS = np.concatenate([[0.0], 2.0 ** -np.arange(20.0, 0.0, -1.0),
 #: Gevrey index of every plateau window; strictly below common weight
 #: orders so the window itself never creates spurious cone growth.
 WINDOW_SIGMA = 1.5
+
+#: relative magnitude under which transform samples count as noise, not
+#: data, in decay fits.  Set well above fft rounding noise: the spatial
+#: windows used for localization carry heavy spectral tails of their own,
+#: and keeping those tails down to rounding level lets an eps-independent
+#: window artifact dominate the weighted sups and mask genuine growth.
+#: It also ends a window's spectrum (:func:`window_reach`).
+SPECTRAL_FLOOR = 1e-8
 
 
 def _bump_from_end(sigma: float, y: np.ndarray) -> np.ndarray:
@@ -305,6 +314,30 @@ def plateau_window(grid: GridSpec, center, radius: float,
         x, y = np.meshgrid(axis[block[0]], axis[block[1]], indexing="ij")
         dist = np.hypot(x - center[0], y - center[1])
     return profile(dist)
+
+
+@functools.cache
+def _unit_window_reach() -> float:
+    """:func:`window_reach` at radius 1, read once per process on grids of
+    half-width 2 (the window fills half of each), from 256 nodes up,
+    doubled until the reading stops changing."""
+    reach, n = None, 256
+    while True:
+        g = GridSpec(1, 2.0, n)
+        mag = np.abs(forward(plateau_window(g, 0.0, 1.0), g, half=True))
+        found = float(np.max(np.abs(g.half_dual_axis())[
+            mag > SPECTRAL_FLOOR * mag.max()]))
+        if found == reach:
+            return reach
+        reach, n = found, 2 * n
+
+
+def window_reach(radius: float) -> float:
+    """The spectral reach of the plateau window of ``radius``: the largest
+    |xi| at which its spectrum exceeds SPECTRAL_FLOOR times its peak.  The
+    window of radius r is the unit one at x/r, whose spectrum is read at
+    r xi, so the reach is the unit window's over r (about 308 / r)."""
+    return _unit_window_reach() / radius
 
 
 def export_mollifier(net: MollifierNet, out_dir: str) -> dict:

@@ -2,14 +2,29 @@
 generalized functions.
 
 A :class:`NetFunction` holds one frame per rung of an epsilon ladder.
-Frames are sampled on ``grid.refine(oversample)`` so that spectra that
-widen like 1/eps stay below the Nyquist frequency; ``base_frames`` reads
-the same functions back on the caller's grid by exact decimation.
+Frames are sampled on ``grid.refine(oversample)``, the fine grid, so that
+spectra that widen like 1/eps stay below the Nyquist frequency;
+``base_frames`` reads the same functions back on the caller's grid by
+exact decimation.
+
+A real 1-D ``regularize`` net, and a window of one, also reads each rung
+on its own grid (``NetFunction.reading_grids``): the coarsest refinement
+of ``grid`` whose Nyquist frequency holds the rung's reach
+(``NetFunction.reach``), ALIAS_MARGIN * 2/eps_j plus the reach of each
+window (``mollifier.window_reach``).  Its frames are then a view
+(:class:`_LazyRungs`) that builds each frame on the fine grid on its first
+read.  The sups, the order-0 row of ``classify_net``, windows, the decay
+tests, wave-front boxes and the CLI's frame tables read the reading grids;
+ring operations, point values, derivatives, ultradifferential operators
+and the weight-function mode (``bb``, whose FL^1 norms read round-off far
+out on the fine grid) read the view.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -18,7 +33,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .grids import (_I_POWERS, GridSpec, _alternate, _band, _symbols,
                     forward, inverse)
-from .mollifier import plateau_window
+from .mollifier import plateau_window, window_reach
 from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
                       resolved_for)
 
@@ -29,6 +44,21 @@ MACHINE_FLOOR = 1e-12
 #: a windowed frame whose sup falls to this fraction of its frame's sup
 #: holds only round-off (see :func:`_windowed_frames`).
 WINDOW_NOISE_REL = 1e-10
+
+#: head-room factor above the bare aliasing bound eps*Nyquist >= 2 of a
+#: regularized rung, whose spectrum ends at 2/eps (``NetFunction.reach``)
+ALIAS_MARGIN = 2.0
+
+
+def _holding(grid: GridSpec, reach: float, cap: int) -> int:
+    """The smallest power-of-two refinement m of ``grid`` whose Nyquist
+    frequency m*pi/dx is at least ``reach``, or ``cap`` when no smaller one
+    is."""
+    need = reach / grid.dual_max
+    m = 1
+    while m < need and m < cap:
+        m *= 2
+    return m
 
 
 @dataclass(frozen=True)
@@ -63,21 +93,66 @@ class EpsilonLadder:
         return cls(data["eps0"], data["ratio"], data["count"])
 
 
+class _LazyRungs(Sequence):
+    """One array per rung, each built by ``build(j)`` on its first read and
+    kept, read-only: a net's frames on its fine grid, which a net read only
+    on its reading grids never builds, or a window's samples.  ``real``
+    says whether they are real."""
+
+    def __init__(self, build, count: int, real: bool):
+        self._build, self._built, self.real = build, [None] * count, real
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        frame = self._built[j]
+        if frame is None:
+            frame = self._built[j] = self._build(range(len(self))[j])
+            frame.setflags(write=False)
+        return frame
+
+
+def _band_samples(band: np.ndarray, ramp: bool, grid: GridSpec) -> np.ndarray:
+    """Real samples on ``grid`` of the half-axis spectrum ``band``, 0 beyond
+    it, plus the ramp j/n = 1/2 + x/(2L) with ``ramp``: a rung of a real
+    1-D ``regularize`` net (:attr:`NetFunction.spectra`)."""
+    nodes = grid.n // 2 + 1
+    spec = np.zeros(nodes, dtype=complex)
+    spec[: min(nodes, band.size)] = band[:nodes]
+    out = inverse(spec, grid)
+    if ramp:
+        out += 0.5 + grid.axis() / (2.0 * grid.half_width)
+    return out
+
+
 @dataclass(frozen=True)
 class NetFunction:
-    """Per-epsilon frames on a (possibly internally refined) grid."""
+    """Per-epsilon frames on a (possibly internally refined) grid, each
+    rung also read on its own grid (:attr:`reading_grids`)."""
 
     ladder: EpsilonLadder
     grid: GridSpec
+    #: the frames on the fine grid: a tuple, or a :class:`_LazyRungs` that
+    #: builds each one on its first read
     frames: tuple = field(repr=False, compare=False)
     mode: str = "beurling"
     weight: object = None
     oversample: int = 1
     #: (bands, ramp) of a real 1-D ``regularize`` net, which ``replace``
-    #: never copies: per rung f^ psi(eps_j |xi|) on the fine half axis up to
+    #: never copies: per rung f^ psi(eps_j |xi|) on the half axis up to
     #: psi_j's support, and whether frames add the ramp j/n (:func:`_spectrum`)
     spectra: tuple = field(default=None, init=False, repr=False,
                            compare=False)
+    #: per rung, the |xi| up to which its spectrum is read: ALIAS_MARGIN
+    #: times the band's end r_outer/eps_j for a real 1-D ``regularize``
+    #: net, plus ``mollifier.window_reach`` per window of one
+    #: (:func:`_windowed`); None for every other net, which ``replace``
+    #: gives
+    reach: tuple = field(default=None, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.mode not in ("beurling", "roumieu"):
@@ -85,7 +160,8 @@ class NetFunction:
         if self.oversample < 1 or self.oversample & (self.oversample - 1):
             raise ValueError("oversample must be a power of two")
         fine = self.fine_grid
-        for fr in self.frames:
+        # a view builds its frames from data checked where it was made
+        for fr in self.frames if isinstance(self.frames, tuple) else ():
             if fr.shape != fine.shape:
                 raise GridMismatchError(
                     f"frame shape {fr.shape} does not match grid {fine.shape}")
@@ -99,10 +175,36 @@ class NetFunction:
         return self.grid.refine(self.oversample)
 
     @cached_property
+    def reading_grids(self) -> tuple:
+        """Per rung, the grid it is read on: without a reach the fine grid,
+        else the coarsest refinement of ``grid``, up to the fine grid, whose
+        Nyquist frequency holds the rung's reach.  A window's box reads
+        each rung on a block of that grid instead
+        (``microlocal.wavefront``)."""
+        if self.reach is None:
+            return (self.fine_grid,) * self.ladder.count
+        return tuple(self.grid.refine(_holding(self.grid, r, self.oversample))
+                     for r in self.reach)
+
+    @cached_property
+    def samples(self) -> tuple:
+        """Each rung's samples on its reading grid, made once per net on
+        first use: the frames themselves without a reach, else inverted
+        from the carried bands there (:func:`_band_samples`); a window
+        stores its own (:func:`_windowed`)."""
+        if self.spectra is None:
+            return tuple(self.frames)
+        bands, ramp = self.spectra
+        return tuple(_band_samples(band, ramp, g)
+                     for band, g in zip(bands, self.reading_grids))
+
+    @cached_property
     def sups(self) -> np.ndarray:
-        """max |frame| over the whole fine grid, one entry per rung, read
-        once per net on first use."""
-        sups = np.array([np.max(np.abs(fr)) for fr in self.frames])
+        """max |f_eps| per rung, read once per net on first use, over the
+        nodes of :func:`_stored`: a net with carried bands on each rung's
+        reading grid, any other net on its frames."""
+        sups = np.array([np.max(np.abs(_stored(self, j)))
+                         for j in range(self.ladder.count)])
         sups.setflags(write=False)
         return sups
 
@@ -110,6 +212,8 @@ class NetFunction:
     def real(self) -> bool:
         """Are the frames real?  Their spectra are then Hermitian and are
         taken on the half spectrum (half axis in 1-D, half plane in 2-D)."""
+        if isinstance(self.frames, _LazyRungs):
+            return self.frames.real
         return not any(np.iscomplexobj(fr) for fr in self.frames)
 
     def base_frames(self) -> tuple:
@@ -127,6 +231,29 @@ class NetFunction:
             raise GridMismatchError(
                 "nets carry different internal refinements; rebuild with a "
                 "common oversample")
+
+
+def _stored(a: NetFunction, j: int) -> np.ndarray:
+    """Rung j as the net stores it: its samples on its reading grid for a
+    net with carried bands (which builds no frame), else its frame.  A
+    window's frames stay the reading of its sups: its reading-grid samples
+    serve the decay tests (:func:`_rung_spectrum`) and frame tables
+    alone."""
+    return a.samples[j] if a.spectra is not None else a.frames[j]
+
+
+def _samples(a: NetFunction, j: int, grid: GridSpec) -> np.ndarray:
+    """Rung j's samples at the nodes of ``grid``, a refinement of the net's
+    grid up to its fine grid: its samples on its reading grid, the carried
+    band inverted on any other (:func:`_band_samples`), or else the frame,
+    decimated."""
+    if grid == a.reading_grids[j]:
+        return a.samples[j]
+    if a.spectra is not None:
+        bands, ramp = a.spectra
+        return _band_samples(bands[j], ramp, grid)
+    step = a.fine_grid.n // grid.n
+    return a.frames[j][(slice(None, None, step),) * grid.dim]
 
 
 @dataclass(frozen=True)
@@ -252,6 +379,16 @@ def _spectrum(a: NetFunction, j: int, half: bool, grid=None) -> np.ndarray:
     return out
 
 
+def _rung_spectrum(a: NetFunction, j: int, half: bool) -> np.ndarray:
+    """Rung j's spectrum (half with ``half``) on its reading grid: the
+    carried band there (:func:`_spectrum`), or the transform of its
+    samples; without a reach, the frame's on the fine grid."""
+    read = a.reading_grids[j]
+    if half and a.spectra:
+        return _spectrum(a, j, half, read)
+    return forward(a.samples[j], read, half=half)
+
+
 def _apply_symbol(a: NetFunction, coeffs: dict,
                   warn_label: str) -> NetFunction:
     """Frame-wise sum_alpha c_alpha D^alpha, one multiplier on the fine grid,
@@ -269,7 +406,7 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
               if half else sum(b * sym for b, sym in terms))
     frames = []
     for j, eps in enumerate(a.ladder.values):
-        _warn_boundary_mass(eps, a.frames[j], a.sups[j], warn_label)
+        _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
         fhat = _spectrum(a, j, half)
         if half:
             out = np.zeros(fine.n, dtype=complex if np.ndim(symbol["imag"])
@@ -377,12 +514,87 @@ def _windowed_frames(a: NetFunction, center, radius: float,
     return tuple(frames)
 
 
+def _windowed(a: NetFunction, centers, radius: float,
+              place=None) -> list:
+    """``a``, a net with a reach, times the plateau window of ``radius`` at
+    each checked centre of ``centers``: one net per centre, built by
+    :func:`_window`.  Rung j is read on the reading grid of its reach plus
+    ``mollifier.window_reach(radius)``, where its samples
+    (:func:`_samples`) are made once for all centres, on first use."""
+    reach = tuple(r + window_reach(radius) for r in a.reach)
+    grids = [a.grid.refine(_holding(a.grid, r, a.oversample)) for r in reach]
+    rung = functools.cache(lambda j: _samples(a, j, grids[j]))
+    return [_window(a, c, radius, place, reach, grids, rung) for c in centers]
+
+
+def _window(a: NetFunction, c: np.ndarray, radius: float, place,
+            reach: tuple, grids: list, rung) -> NetFunction:
+    """``a`` times the plateau window of ``radius`` at ``c``, per rung and
+    on first use.  Rung j's samples are ``rung(j)`` on ``grids[j]`` times
+    the window there: the finest grid's window, decimated, which is bitwise
+    its own.  Frame j is ``a.frames[j]`` times the window on the fine grid.
+    Each is zeroed by the noise rule of :func:`_windowed_frames`, against
+    the sup of what it was made from: ``a.sups`` for the samples,
+    max |a.frames[j]| for the frames.
+
+    With ``place`` (``microlocal._window_box``), the window keeps the block
+    that ``place`` gives on the coarsest of ``grids`` and the same interval
+    of every other grid.  The net then lives on the fine grid's block (its
+    grid, oversample 1), and each rung is read on its grid's block."""
+    fine = a.fine_grid
+    coarse, top = (f(grids, key=lambda g: g.n) for f in (min, max))
+    if place is None:
+        start, size, grid, oversample = 0, coarse.n, a.grid, a.oversample
+    else:
+        (block,), _ = place(coarse, c, radius)
+        start, size = block.start, block.stop - block.start
+        m = size * (fine.n // coarse.n)
+        grid, oversample = GridSpec(1, 0.5 * m * fine.spacing, m), 1
+
+    def block_of(g: GridSpec) -> tuple:
+        k = g.n // coarse.n
+        return (slice(start * k, (start + size) * k),)
+
+    window = functools.cache(
+        lambda g: plateau_window(g, c, radius, block_of(g)))
+
+    def noise_free(lf: np.ndarray, sup: float) -> np.ndarray:
+        if np.max(np.abs(lf)) <= WINDOW_NOISE_REL * sup:
+            lf[...] = 0
+        return lf
+
+    def sample(j: int) -> np.ndarray:
+        g = grids[j]
+        return noise_free(rung(j)[block_of(g)] * window(top)[:: top.n // g.n],
+                          a.sups[j])
+
+    def frame(j: int) -> np.ndarray:
+        fr = a.frames[j]
+        return noise_free(fr[block_of(fine)] * window(fine),
+                          np.max(np.abs(fr)))
+
+    net = NetFunction(ladder=a.ladder, grid=grid, mode=a.mode,
+                      weight=a.weight, oversample=oversample,
+                      frames=_LazyRungs(frame, a.ladder.count, a.real))
+    reads = tuple(GridSpec(1, grid.half_width, size * (g.n // coarse.n))
+                  for g in grids)
+    for name, value in (("reach", reach), ("reading_grids", reads),
+                        ("samples", _LazyRungs(sample, a.ladder.count,
+                                               a.real))):
+        object.__setattr__(net, name, value)
+    return net
+
+
 def window_net(a: NetFunction, center, radius: float) -> NetFunction:
     """Multiply every frame by a plateau window (1 within radius/2 of the
     center, 0 beyond radius), making the net edge-negligible before
-    spectral operations (see :func:`_windowed_frames`).  A window that
-    leaves the grid is refused: the periodic seam would cut it."""
-    return replace(a, frames=_windowed_frames(a, center, radius))
+    spectral operations (see :func:`_windowed_frames`).  A net with a reach
+    is windowed per rung (:func:`_windowed`).  A window that leaves the
+    grid is refused: the periodic seam would cut it."""
+    if a.reach is None:
+        return replace(a, frames=_windowed_frames(a, center, radius))
+    (net,) = _windowed(a, [_window_center(a.grid, center, radius)], radius)
+    return net
 
 
 def point_value(a: NetFunction, x: GeneralizedPoint) -> GeneralizedNumber:

@@ -28,11 +28,12 @@ MAX_P_MAX = 1 << 22
 _LOG_T_MAX = math.log(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSequence:
     """A positive weight sequence with M_0 = 1, kept as log M_0 .. M_p_max,
     p_max = len(log_m) - 1.  ``kind`` is "gevrey" (log M_p = s*log p!) or
-    "custom" (user table)."""
+    "custom" (user table).  Two sequences are equal when their kind, s and
+    table are: the table's bytes, so equal sequences hash alike."""
 
     kind: str
     log_m: np.ndarray
@@ -46,6 +47,17 @@ class WeightSequence:
             raise ValueError("M_0 must be 1 (log_m[0] = 0)")
         object.__setattr__(self, "log_m", lm)
         object.__setattr__(self, "_inc", np.diff(lm))
+
+    def _key(self) -> tuple:
+        return self.kind, self.s, self.log_m.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightSequence):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def gevrey(s: float, p_max: int = DEFAULT_P_MAX) -> "WeightSequence":

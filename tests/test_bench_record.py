@@ -96,3 +96,84 @@ def test_no_pass_count_without_one_on_every_run():
     runs = _runs([2.0, 2.0], [1.0, 1.0])
     runs[0]["passes"] = 1
     assert "passes" not in bench_record.summarize(runs, METRICS)["w"]
+
+
+BOUNDED = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
+           {"name": "ops", "unit": "1/s", "better": "higher", "bound": 0.1}]
+
+
+def test_within_bound_by_direction():
+    assert bench_record.within_bound(1.0, 1.24, "lower", 0.24)
+    assert not bench_record.within_bound(1.0, 1.25, "lower", 0.24)
+    assert bench_record.within_bound(1.0, 0.9, "higher", 0.1)
+    assert not bench_record.within_bound(1.0, 0.89, "higher", 0.1)
+
+
+def test_summary_records_the_bound_and_whether_the_change_keeps_it():
+    out = bench_record.summarize(_runs([1.0] * 3, [1.2] * 3), BOUNDED)["w"]
+    assert out["wall_s"]["bound"] == 0.24
+    assert out["wall_s"]["within_bound"] is True
+    # more ops is better: 1.2 against 1.0 is inside any bound
+    assert out["ops"]["within_bound"] is True
+    out = bench_record.summarize(_runs([1.0] * 3, [1.3] * 3), BOUNDED)["w"]
+    assert out["wall_s"]["within_bound"] is False
+    out = bench_record.summarize(_runs([1.0] * 3, [0.8] * 3), BOUNDED)["w"]
+    assert out["ops"]["within_bound"] is False
+
+
+def test_no_verdict_without_a_bound():
+    out = bench_record.summarize(_runs([1.0], [9.0]), METRICS)["w"]
+    assert "within_bound" not in out["wall_s"]
+
+
+def _claim(parent, change):
+    return bench_record.summarize(_runs(parent, change), BOUNDED)["w"]
+
+
+def test_claim_holds_on_nine_wins_past_the_parents_spread():
+    parent = [2.0, 2.1, 2.2, 2.0, 2.1, 2.2, 2.0, 2.1, 2.2, 2.1]
+    change = [1.5] * 9 + [2.5]
+    entry = _claim(parent, change)["wall_s"]
+    assert entry["change_won"] == 9
+    assert bench_record.claim_holds(entry)
+
+
+def test_claim_fails_on_eight_wins():
+    parent = [2.0] * 10
+    change = [1.0] * 8 + [3.0] * 2
+    assert not bench_record.claim_holds(_claim(parent, change)["wall_s"])
+
+
+def test_claim_fails_inside_the_parents_spread():
+    # every pair won, but by less than the parent's interquartile range
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [p - 0.5 for p in parent]
+    entry = _claim(parent, change)["wall_s"]
+    assert entry["change_won"] == 10
+    assert not bench_record.claim_holds(entry)
+
+
+def test_claim_reads_the_metrics_direction():
+    parent = [1.0] * 10
+    entry = _claim(parent, [1.5] * 10)
+    assert bench_record.claim_holds(entry["ops"])
+    assert not bench_record.claim_holds(entry["wall_s"])
+
+
+@pytest.mark.parametrize("claim", ("nosuch/wall_s", "depth_sweep/nosuch",
+                                   "depth_sweep"))
+def test_bad_claim_argument_rejected(capsys, claim):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "HEAD", "--label", "x",
+                           "--claim", claim])
+    assert exc.value.code == 2
+    assert "--claim" in capsys.readouterr().err
+
+
+def test_claim_on_a_skipped_workload_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--parent", "HEAD", "--label", "x",
+                           "--pairs", "depth_sweep=0",
+                           "--claim", "depth_sweep/wall_s"])
+    assert exc.value.code == 2
+    assert "--claim" in capsys.readouterr().err

@@ -214,10 +214,10 @@ class TestFullSpectraKept:
         return sizes
 
     def test_real_1d_net_takes_the_half_axis(self, catalog, spectrum_sizes):
+        # one half-axis spectrum per rung, each on the rung's reading grid
         net = windowed(catalog, "delta", 0.0, 0.5)
         sigma_g(net, mode="beurling")
-        n = net.fine_grid.n
-        assert spectrum_sizes == [(n // 2 + 1,)] * net.ladder.count
+        assert spectrum_sizes == [(g.n // 2 + 1,) for g in net.reading_grids]
 
     def test_complex_net_takes_the_full_axis(self, catalog, spectrum_sizes):
         net = as_complex(windowed(catalog, "delta", 0.0, 0.5))

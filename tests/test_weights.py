@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfalg.errors import SaturationError
+from gfalg.nets import EpsilonLadder, constant_embed
 from gfalg.weights import (WeightFunction, WeightSequence, assoc,
                            assoc_inverse, check_assoc_m2, check_conditions,
                            gevrey_pair, omega_check, resolved_for)
@@ -187,6 +188,27 @@ class TestSequenceBasics:
             WeightSequence.custom(log_m)
         with pytest.raises(ValueError, match="1-D"):
             WeightSequence(kind="custom", log_m=log_m)
+
+    def test_equal_sequences_compare_and_hash_alike(self):
+        a, b = WeightSequence.gevrey(2.0), WeightSequence.gevrey(2.0)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        # kind, s and the table each tell sequences apart
+        assert a != WeightSequence.gevrey(2.0, 128)
+        assert a != WeightSequence.gevrey(1.5)
+        assert a != WeightSequence.custom(a.log_m)
+        assert WeightSequence.custom(a.log_m) == WeightSequence.custom(
+            list(a.log_m))
+        assert a != "gevrey:2"
+
+    def test_nets_with_equal_weights_compare(self, grid):
+        ladder = EpsilonLadder(2.0 ** -3, 0.5, 6)
+        nets = [constant_embed(np.ones(grid.n), ladder, grid,
+                               weight=WeightSequence.gevrey(2.0))
+                for _ in range(2)]
+        assert nets[0] == nets[1]
+        assert nets[0] != constant_embed(np.ones(grid.n), ladder, grid,
+                                         weight=WeightSequence.gevrey(1.5))
 
     @given(s=st.floats(min_value=1.05, max_value=3.0))
     @settings(max_examples=25, deadline=None)
