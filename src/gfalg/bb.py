@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _key_radii, _radius_keys
 from .grids import GridSpec, forward
 from .nets import (FunctionScale, GrowthVerdict, NetFunction,
-                   _bounded_residual, _edge_mass, _spectrum, censor_at_floor,
-                   classify_growth)
+                   _bounded_residual, _edge_mass, _kept_spectra, _stored,
+                   censor_at_floor, classify_growth)
 from .weights import WeightFunction
 
 #: lambda exponents sampled by the graded moderation test.
@@ -44,16 +45,21 @@ def _omega(w: WeightFunction, grid: GridSpec, half: bool) -> np.ndarray:
     return w(radius[..., : grid.n // 2 + 1] if half else radius)
 
 
+def _counts(width: int, grid: GridSpec) -> np.ndarray:
+    """Each of ``width`` last-axis columns' count in a sum over the full
+    spectrum: a half spectrum's columns 1 .. n/2 - 1 count twice."""
+    count = np.full(width, 1.0 if width == grid.n else 2.0)
+    count[[0, -1]] = 1.0
+    return count
+
+
 def _log_spectrum(fhat: np.ndarray, grid: GridSpec,
                   omega: np.ndarray) -> tuple:
     """log|fhat| on the dual nodes where fhat != 0, omega(|xi|) there (from
     ``omega`` on the spectrum's nodes or on every dual node), and each
-    node's count in a sum over the full spectrum: a half spectrum's columns
-    1 .. n/2 - 1 (of n//2 + 1) count twice, for their mirror images."""
+    node's count in a sum over the full spectrum (:func:`_counts`)."""
     width = fhat.shape[-1]
-    count = np.full(width, 1.0 if width == grid.n else 2.0)
-    count[[0, -1]] = 1.0
-    count = np.broadcast_to(count, fhat.shape).ravel()
+    count = np.broadcast_to(_counts(width, grid), fhat.shape).ravel()
     mag = np.abs(fhat).ravel()
     pos = mag > 0
     return np.log(mag[pos]), omega[..., :width].ravel()[pos], count[pos]
@@ -111,32 +117,34 @@ def fl_norm(f: np.ndarray, grid: GridSpec, w: WeightFunction, lam: float,
 
 @dataclass(frozen=True)
 class OmegaNormLadder:
-    """Per-rung weighted FL1 norms of a net's frames, stored in log space
-    (values may exceed float range in linear space)."""
+    """Per-rung weighted FL1 norms of a net (:func:`_fl1_ladders`), stored
+    in log space (values may exceed float range in linear space)."""
 
     lam: float
     log_values: np.ndarray
 
 
 def _fl1_ladders(a: NetFunction, w: WeightFunction, lams) -> dict:
-    """{lambda: per-rung log FL1 norms}: each frame's spectrum is read once
-    (:func:`nets._spectrum`), on the half spectrum for a real net, and
-    omega(|xi|) is evaluated once for every lambda."""
-    fine = a.fine_grid
-    for fr, sup in zip(a.frames, a.sups):
-        _require_edge_negligible(fr, sup, "omega_norm_ladder")
-    half = a.real
-    omega = _omega(w, fine, half)
+    """{lambda: per-rung log FL1 norms} over the nodes the decay tests keep
+    (:func:`nets._kept_spectra`: each rung once, on its reading grid, above
+    the ladder's fft noise floor, whose round-off lambda * omega would
+    weight up far out), with omega at those nodes' radii for every lambda."""
+    for j, sup in enumerate(a.sups):
+        _require_edge_negligible(_stored(a, j), sup, "omega_norm_ladder")
     logs = {lam: np.empty(a.ladder.count) for lam in lams}
-    for j in range(a.ladder.count):
-        spectrum = _log_spectrum(_spectrum(a, j, half), fine, omega)
+    grids, kept = _kept_spectra(a, on_fine=False)
+    for j, (g, (nodes, mag)) in enumerate(zip(grids, kept)):
+        width = g.n // 2 + 1 if a.real else g.n
+        radii = _key_radii(g, _radius_keys(g, width, nodes))
+        spectrum = (np.log(mag), w(radii), _counts(width, g)[nodes % width])
         for lam, values in logs.items():
-            values[j] = _log_norm(spectrum, fine, lam, "1")
+            values[j] = _log_norm(spectrum, g, lam, "1")
     return logs
 
 
 def omega_norm_ladder(a: NetFunction, w: WeightFunction,
                       lam: float) -> OmegaNormLadder:
+    """One lambda's ladder of :func:`_fl1_ladders`."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     return OmegaNormLadder(lam=float(lam),

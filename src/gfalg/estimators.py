@@ -11,9 +11,9 @@ import numpy as np
 
 from .distributions import rung_oversample
 from .grids import GridSpec, _symbols, forward, inverse
-from .mollifier import SPECTRAL_FLOOR
+from .mollifier import SPECTRAL_FLOOR  # noqa: F401 (importable from here)
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
-                   _bounded_residual, _rung_spectrum, _samples, _spectrum,
+                   _bounded_residual, _kept_spectra, _samples, _spectrum,
                    _stored, _warn_boundary_mass, classify_growth)
 from .weights import WeightSequence
 
@@ -117,15 +117,18 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
 
     The order-0 row reads each rung where ``a.sups`` does
     (:func:`nets._stored`), on a grid refined until the box holds a node of
-    it (:func:`nets._samples`): a net with carried bands on its reading
-    grids, any other net on its frames.  The derivatives of rung j are
-    taken on its own alias-free grid, the base grid refined m_j times (see
-    :func:`_rung_oversamples`): the frame's spectrum at |k| <= n_j/2 is
-    read once (:func:`nets._spectrum`), and each alpha != 0 costs one
-    inverse of size n_j, whose sup is read at that grid's box nodes.
+    it (:func:`nets._samples`): a net with a reach, a window included, on
+    its reading grids, any other net on its frames.  The derivatives of
+    rung j are taken on its own alias-free grid, the base grid refined m_j
+    times (see :func:`_rung_oversamples`): the frame's spectrum at
+    |k| <= n_j/2 is read once (:func:`nets._spectrum`), and each
+    alpha != 0 costs one inverse of size n_j, whose sup is read at that
+    grid's box nodes.
     Frames are processed one at a time, and m_j does not decrease along
     the ladder, so each rung grid's symbols (:func:`grids._symbols`) are
-    built once, on that grid, and one grid's symbols are held at a time.
+    built once, on that grid, and one grid's symbols are held at a time:
+    each is dropped before the next is made (as are a rung's spectrum and
+    each derivative), so that the next reuses its heap space.
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
@@ -142,23 +145,26 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     box_grid = a.grid.refine(_box_refinement(a, box))
     if alpha_max:
         rung_m = _rung_oversamples(a, box)
-    coarse = None
+    coarse = fhat = deriv = None
     for j, eps in enumerate(a.ladder.values):
         # where a.sups reads the rung (nets._stored), refined for the box
-        g = a.reading_grids[j] if a.spectra is not None else fine
+        g = a.reading_grids[j]
         if g.n < box_grid.n:
             g = box_grid
         sups[0, j] = np.abs(_samples(a, j, g)[box_on(g)]).max()
         if not alpha_max:
             continue
+        fhat = deriv = None
         if coarse is None or coarse.n != a.grid.n * rung_m[j]:
             coarse = a.grid.refine(rung_m[j])
+            symbols = None
             symbols = _symbols(coarse, alphas[1:], half,
                                cut=coarse.n < fine.n)
             box_coarse = box_on(coarse)
         _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
         for i, sym in enumerate(symbols, start=1):
+            deriv = None
             deriv = inverse(fhat * sym, coarse)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
     return alphas, sups
@@ -273,35 +279,6 @@ class RegularityVerdict:
             "residuals": {k: [float(x) for x in v]
                           for k, v in self.residual_table.items()},
         }
-
-
-def _kept_spectra(a: NetFunction, on_fine: bool) -> tuple:
-    """Each rung's spectrum, read once, at the nodes above the fft noise
-    floor of the ladder: the grid it is read on (the rung's reading grid,
-    :func:`nets._rung_spectrum`, or with ``on_fine`` the fine grid,
-    :func:`nets._spectrum`), and per rung the flat indices of the kept
-    nodes and |fhat| there.  Real frames are read on the half spectrum."""
-    half = a.real
-    grids = [a.fine_grid if on_fine else g for g in a.reading_grids]
-    # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
-    # that floor is at most the ladder-wide one, so no node is lost, and no
-    # full-size |fhat_j| outlives its transform
-    kept, top = [], 0.0
-    for j, g in enumerate(grids):
-        fhat = (_rung_spectrum(a, j, half) if g == a.reading_grids[j]
-                else _spectrum(a, j, half))
-        mag = np.abs(fhat).ravel()
-        peak = float(mag.max())
-        nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
-        kept.append((nodes, mag[nodes]))
-        top = max(top, peak)
-    # one floor for the whole ladder: frames windowed down to rounding noise
-    # must not be re-normalized into fake decay data
-    cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
-    for j, (nodes, mag) in enumerate(kept):
-        above = mag > cut
-        kept[j] = (nodes[above], mag[above])
-    return grids, kept
 
 
 def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,

@@ -13,11 +13,13 @@ of ``grid`` whose Nyquist frequency holds the rung's reach
 (``NetFunction.reach``), ALIAS_MARGIN * 2/eps_j plus the reach of each
 window (``mollifier.window_reach``).  Its frames are then a view
 (:class:`_LazyRungs`) that builds each frame on the fine grid on its first
-read.  The sups, the order-0 row of ``classify_net``, windows, the decay
-tests, wave-front boxes and the CLI's frame tables read the reading grids;
-ring operations, point values, derivatives, ultradifferential operators
-and the weight-function mode (``bb``, whose FL^1 norms read round-off far
-out on the fine grid) read the view.
+read.  One rule says where a rung is read: a net with a reach, a window
+included, on its reading grids, any other net on its frames.  So the sups,
+the order-0 row of ``classify_net``, windows, wave-front boxes, the CLI's
+frame tables, and the decay tests and the weight-function mode's FL^1
+norms (both over the nodes above one noise floor, :func:`_kept_spectra`)
+read the reading grids; ring operations, point values, derivatives and
+ultradifferential operators read the view.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import GridMismatchError
 from .grids import (_I_POWERS, GridSpec, _alternate, _band, _symbols,
                     forward, inverse)
-from .mollifier import plateau_window, window_reach
+from .mollifier import SPECTRAL_FLOOR, plateau_window, window_reach
 from .weights import (WeightFunction, WeightSequence, assoc, assoc_inverse,
                       resolved_for)
 
@@ -201,8 +203,8 @@ class NetFunction:
     @cached_property
     def sups(self) -> np.ndarray:
         """max |f_eps| per rung, read once per net on first use, over the
-        nodes of :func:`_stored`: a net with carried bands on each rung's
-        reading grid, any other net on its frames."""
+        nodes of :func:`_stored`: a net with a reach, a window included, on
+        each rung's reading grid, any other net on its frames."""
         sups = np.array([np.max(np.abs(_stored(self, j)))
                          for j in range(self.ladder.count)])
         sups.setflags(write=False)
@@ -235,11 +237,9 @@ class NetFunction:
 
 def _stored(a: NetFunction, j: int) -> np.ndarray:
     """Rung j as the net stores it: its samples on its reading grid for a
-    net with carried bands (which builds no frame), else its frame.  A
-    window's frames stay the reading of its sups: its reading-grid samples
-    serve the decay tests (:func:`_rung_spectrum`) and frame tables
-    alone."""
-    return a.samples[j] if a.spectra is not None else a.frames[j]
+    net with a reach, a window's included (which builds no frame), else its
+    frame."""
+    return a.samples[j] if a.reach is not None else a.frames[j]
 
 
 def _samples(a: NetFunction, j: int, grid: GridSpec) -> np.ndarray:
@@ -389,13 +389,43 @@ def _rung_spectrum(a: NetFunction, j: int, half: bool) -> np.ndarray:
     return forward(a.samples[j], read, half=half)
 
 
+def _kept_spectra(a: NetFunction, on_fine: bool) -> tuple:
+    """Each rung's spectrum, read once, at the nodes above the fft noise
+    floor of the ladder: the grid it is read on (the rung's reading grid,
+    :func:`_rung_spectrum`, or with ``on_fine`` the fine grid,
+    :func:`_spectrum`), and per rung the flat indices of the kept nodes and
+    |fhat| there.  Real frames are read on the half spectrum."""
+    half = a.real
+    grids = [a.fine_grid if on_fine else g for g in a.reading_grids]
+    # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
+    # that floor is at most the ladder-wide one, so no node is lost, and no
+    # full-size |fhat_j| outlives its transform
+    kept, top = [], 0.0
+    for j, g in enumerate(grids):
+        fhat = (_rung_spectrum(a, j, half) if g == a.reading_grids[j]
+                else _spectrum(a, j, half))
+        mag = np.abs(fhat).ravel()
+        peak = float(mag.max())
+        nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
+        kept.append((nodes, mag[nodes]))
+        top = max(top, peak)
+    # one floor for the whole ladder: frames windowed down to rounding noise
+    # must not be re-normalized into fake decay data
+    cut = SPECTRAL_FLOOR * top if top > 0 else np.inf
+    for j, (nodes, mag) in enumerate(kept):
+        above = mag > cut
+        kept[j] = (nodes[above], mag[above])
+    return grids, kept
+
+
 def _apply_symbol(a: NetFunction, coeffs: dict,
                   warn_label: str) -> NetFunction:
     """Frame-wise sum_alpha c_alpha D^alpha, one multiplier on the fine grid,
     in complex frames unless the net is real and 1-D and no b_k = c_k (-i)^k
     has an imaginary part.  On a real 1-D net f^(k) = i^k D^k f is real, and
     the parts sum Re(b_k) f^(k) and sum Im(b_k) f^(k) take one half-axis
-    inverse each if some b_k has one."""
+    inverse each if some b_k has one.  The boundary check reads the rung
+    transformed: a frame, unless bands are (a window builds no samples)."""
     fine = a.fine_grid
     half = a.grid.dim == 1 and a.real
     terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c, sym)
@@ -406,7 +436,8 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
               if half else sum(b * sym for b, sym in terms))
     frames = []
     for j, eps in enumerate(a.ladder.values):
-        _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
+        rung = _stored(a, j) if a.spectra else a.frames[j]
+        _warn_boundary_mass(eps, rung, np.max(np.abs(rung)), warn_label)
         fhat = _spectrum(a, j, half)
         if half:
             out = np.zeros(fine.n, dtype=complex if np.ndim(symbol["imag"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gfalg.bb import (LAMBDA_GRID, classify_net_bb, colombeau_crosscheck,
                       fl_norm, norm_equivalence_check, omega_norm_ladder)
-from gfalg.nets import (FunctionScale, classify_growth, combine,
+from gfalg.nets import (FunctionScale, _stored, classify_growth, combine,
                         constant_embed, scale, window_net)
 from gfalg.weights import WeightFunction
 
@@ -213,7 +213,8 @@ class TestOneSpectrumPerFrame:
         net = window_net(catalog(kind), 0.0, 10.0)
         logs = {lam: omega_norm_ladder(net, W_SQRT, lam).log_values
                 for lam in LAMBDA_GRID}
-        sups = np.array([float(np.max(np.abs(fr))) for fr in net.frames])
+        sups = np.array([float(np.max(np.abs(_stored(net, j))))
+                         for j in range(net.ladder.count)])
         expected = classify_growth(FunctionScale(W_SQRT, net.ladder), logs,
                                    sups, float(np.max(sups)), mode)
         got = classify_net_bb(net, W_SQRT, mode)

@@ -15,7 +15,7 @@ from gfalg.estimators import (MODERATION_ALPHA_MAX, PATTERN_GRID,
 from gfalg.grids import GridSpec, forward, inverse
 from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, ConePartition, _fold,
                               sigma_g)
-from gfalg.nets import EpsilonLadder, SequenceScale, window_net
+from gfalg.nets import EpsilonLadder, SequenceScale, _stored, window_net
 
 U = np.finfo(float).eps / 2  # unit round-off
 
@@ -128,6 +128,13 @@ class TestEstimatorsMatchTheFullPath:
         alphas, half = _derivative_sups(net, box, MODERATION_ALPHA_MAX, "t")
         _, full = _derivative_sups(as_complex(net), box,
                                    MODERATION_ALPHA_MAX, "t")
+        # the order-0 row reads each rung where net.sups does
+        # (nets._stored): a window's samples on its reading grids, which the
+        # complex copy does not carry
+        for j, g in enumerate(net.reading_grids):
+            x = g.axis()
+            full[0, j] = np.max(np.abs(_stored(net, j))[(x >= box[0])
+                                                        & (x <= box[1])])
         fine = net.fine_grid
         xi = fine.dual_axis()
         dxi = 2 * np.pi / (fine.n * fine.spacing)

@@ -10,6 +10,11 @@ grid are a view, built one frame at a time when read.
 * A ``regularize`` net builds no frame until one is read, and each frame
   it builds is bitwise the inverse of its band on the fine grid.
 * One wave front builds each distinct box grid's cone masks once.
+* The weight-function mode's FL^1 norms read the same kept nodes: their
+  sums on the reading grids agree with those on the fine grid within the
+  FFT error bound, while the unfloored fine-grid sums read round-off at
+  lambda = 4; ``classify_net_bb`` and derivatives of a window read only
+  what they need.
 
 Error bounds follow Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., section 24.1: each transform output is off by at most
@@ -22,13 +27,17 @@ import warnings
 import numpy as np
 import pytest
 
-from gfalg import microlocal, nets
+from gfalg import bb, microlocal, nets
+from gfalg.bb import (LAMBDA_GRID, _fl1_ladders, _log_norm, _log_spectrum,
+                      _omega, classify_net_bb)
 from gfalg.distributions import (ModelDistribution, _rung_profiles,
                                  regularize, rung_oversample, spectral_data)
 from gfalg.estimators import _kept_spectra
 from gfalg.grids import GridSpec, inverse
 from gfalg.mollifier import window_reach
-from gfalg.nets import ALIAS_MARGIN, EpsilonLadder, window_net
+from gfalg.nets import (ALIAS_MARGIN, EpsilonLadder, _spectrum,
+                        constant_embed, spectral_derivative, window_net)
+from gfalg.weights import WeightFunction
 
 U = 2.0 ** -53
 ETA = U + 4 * U / (1 - 4 * U) * (np.sqrt(2) + U)
@@ -233,3 +242,107 @@ class TestConeMasksPerBoxGrid:
             warnings.simplefilter("ignore", RuntimeWarning)
             microlocal.wavefront(net, (-2.0, 0.0, 2.0), 0.5)
         assert sorted(built) == boxes
+
+
+WEIGHTS = {"log1p": WeightFunction.log_one_plus_t(),
+           "pow0.5": WeightFunction.power(0.5)}
+
+
+def log_fl1(grid, nodes, mag, w, lam):
+    """log of sum |fhat| e^(lam omega(|xi|)) dxi over the full axis, from
+    the nodes ``nodes`` of a real rung's half axis on ``grid``."""
+    width = grid.n // 2 + 1
+    radii = np.abs(grid.dual_axis()[:width])[nodes]
+    count = np.where((nodes == 0) | (nodes == width - 1), 1.0, 2.0)
+    terms = np.log(mag) + lam * w(radii)
+    top = np.max(terms)
+    return (top + np.log(np.sum(count * np.exp(terms - top)))
+            + np.log(np.pi / grid.half_width))
+
+
+def fine_kept_sums(netw, w, lam):
+    """Per rung of the window ``netw``: the log FL^1 sum at ``lam`` over the
+    fine grid's kept nodes, and the bound within which the same sum over
+    the reading grid's kept nodes must match it.  Both sums run over the
+    same nodes (:func:`assert_same_kept_nodes`), so one is an average of
+    the other's ratios mag / f_mag with positive weights: its log moves by
+    at most their largest log, plus the sum's own rounding."""
+    _, read = _kept_spectra(netw, on_fine=False)
+    _, fine = _kept_spectra(netw, on_fine=True)
+    sums, bounds = [], []
+    for (nodes, mag), (f_nodes, f_mag) in zip(read, fine):
+        sums.append(log_fl1(netw.fine_grid, f_nodes, f_mag, w, lam))
+        bounds.append(np.max(np.abs(np.log(mag) - np.log(f_mag)))
+                      + 8 * U * (f_nodes.size + abs(sums[-1])))
+    return np.array(sums), np.array(bounds)
+
+
+class TestBbReadsTheKeptNodes:
+    """``bb``'s FL^1 ladders read each rung's kept nodes on its reading
+    grid, as the decay tests do."""
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    @pytest.mark.parametrize("depth", (6, 8, 10))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ladders_match_the_fine_grids_kept_nodes(self, nets_at, kind,
+                                                      depth, name):
+        net = nets_at(kind, depth)
+        netw = window_net(net, 0.0, 10.0)
+        # the kept nodes agree, their magnitudes within the FFT error bound
+        assert_same_kept_nodes(net, netw)
+        got = _fl1_ladders(netw, WEIGHTS[name], LAMBDA_GRID)
+        for lam in LAMBDA_GRID:
+            expected, bound = fine_kept_sums(netw, WEIGHTS[name], lam)
+            assert np.all(np.abs(got[lam] - expected) <= bound), lam
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    @pytest.mark.parametrize("depth", (6, 8, 10))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_unfloored_fine_sums_differ_at_lambda_4(self, nets_at, kind,
+                                                     depth, name):
+        # the control: summed over every fine-grid node where fhat != 0,
+        # round-off included, the lambda = 4 norm leaves that bound
+        netw = window_net(nets_at(kind, depth), 0.0, 10.0)
+        w = WEIGHTS[name]
+        fine = netw.fine_grid
+        omega = _omega(w, fine, True)
+        unfloored = [_log_norm(_log_spectrum(_spectrum(netw, j, True), fine,
+                                             omega), fine, 4.0, "1")
+                     for j in range(netw.ladder.count)]
+        got = _fl1_ladders(netw, w, (4.0,))[4.0]
+        _, bound = fine_kept_sums(netw, w, 4.0)
+        assert np.any(np.abs(np.array(unfloored) - got) > bound)
+
+    def test_classify_builds_no_frame(self, grid, moll, seq, monkeypatch):
+        net = regularize(entry("heaviside"), moll,
+                         EpsilonLadder(2.0 ** -3, 0.5, 8), grid, weight=seq)
+        netw = window_net(net, 0.0, 10.0)
+        calls = []
+        counted = nets.forward
+
+        def recorded(f, g, **kwargs):
+            calls.append(g.n)
+            return counted(f, g, **kwargs)
+
+        monkeypatch.setattr(nets, "forward", recorded)
+        monkeypatch.setattr(bb, "forward", recorded)
+        classify_net_bb(netw, WEIGHTS["log1p"])
+        # one forward per rung, each on its reading grid
+        assert calls == [g.n for g in netw.reading_grids]
+        assert all(fr is None for fr in netw.frames._built)
+        assert all(fr is None for fr in net.frames._built)
+
+
+class TestApplySymbolReadsItsFrames:
+    def test_a_windows_derivative_builds_no_samples(self, nets_at):
+        netw = window_net(nets_at("heaviside", 8), 0.0, 10.0)
+        spectral_derivative(netw, 1)
+        assert all(s is None for s in netw.samples._built)
+
+    def test_an_unwindowed_net_still_warns(self, nets_at, grid):
+        # a net with carried bands, and one without
+        step = nets_at("heaviside", 6)
+        ramp = constant_embed(lambda x: x, step.ladder, grid)
+        for net in (step, ramp):
+            with pytest.warns(RuntimeWarning, match="boundary mass"):
+                spectral_derivative(net, 1)

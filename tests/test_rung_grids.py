@@ -15,7 +15,7 @@ from gfalg.distributions import (ModelDistribution, regularize,
 from gfalg.estimators import (MODERATION_ALPHA_MAX, _derivative_sups,
                               _rung_oversamples, classify_net)
 from gfalg.grids import GridSpec, _symbols, forward, inverse
-from gfalg.nets import EpsilonLadder, constant_embed, window_net
+from gfalg.nets import EpsilonLadder, _stored, constant_embed, window_net
 
 #: tracemalloc peak of classify_net(delta at depth 10, (-10, 10)) before the
 #: derivatives were taken per rung, all on the oversample-64 grid (bytes,
@@ -166,14 +166,17 @@ class TestExactness:
         assert verdict.classification == "negligible"
 
     def test_order_zero_reads_the_stored_frames(self, deep):
+        # a window stores each rung as its samples on its reading grid
         net = window_net(deep("heaviside"), 0.0, 10.0)
         box = (-3.0, 5.0)
         _, sups = _derivative_sups(net, box, 2, "t")
-        x = net.fine_grid.axis()
-        inside = (x >= box[0]) & (x <= box[1])
-        for j, fr in enumerate(net.frames):
-            assert sups[0, j] == np.max(np.abs(fr)[inside])
-            assert net.sups[j] == np.max(np.abs(fr))
+        for j, g in enumerate(net.reading_grids):
+            stored = _stored(net, j)
+            assert stored.shape == g.shape
+            x = g.axis()
+            inside = (x >= box[0]) & (x <= box[1])
+            assert sups[0, j] == np.max(np.abs(stored)[inside])
+            assert net.sups[j] == np.max(np.abs(stored))
 
 
 class TestCost:
