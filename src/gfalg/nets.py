@@ -193,12 +193,16 @@ class NetFunction:
         """Each rung's samples on its reading grid, made once per net on
         first use: the frames themselves without a reach, else inverted
         from the carried bands there (:func:`_band_samples`); a window
-        stores its own (:func:`_windowed`)."""
+        stores its own (:func:`_windowed`).  Bands are inverted finest
+        rung first, largest grid first, so that each smaller rung's
+        transform fits in the heap space the larger ones freed."""
         if self.spectra is None:
             return tuple(self.frames)
         bands, ramp = self.spectra
-        return tuple(_band_samples(band, ramp, g)
-                     for band, g in zip(bands, self.reading_grids))
+        rungs = range(self.ladder.count)
+        built = {j: _band_samples(bands[j], ramp, self.reading_grids[j])
+                 for j in reversed(rungs)}
+        return tuple(built[j] for j in rungs)
 
     @cached_property
     def sups(self) -> np.ndarray:
@@ -394,20 +398,24 @@ def _kept_spectra(a: NetFunction, on_fine: bool) -> tuple:
     floor of the ladder: the grid it is read on (the rung's reading grid,
     :func:`_rung_spectrum`, or with ``on_fine`` the fine grid,
     :func:`_spectrum`), and per rung the flat indices of the kept nodes and
-    |fhat| there.  Real frames are read on the half spectrum."""
+    |fhat| there.  Real frames are read on the half spectrum.  Rungs are
+    read finest first, largest grid first, so that each smaller rung's
+    buffers fit in the heap space the larger ones freed."""
     half = a.real
     grids = [a.fine_grid if on_fine else g for g in a.reading_grids]
     # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
     # that floor is at most the ladder-wide one, so no node is lost, and no
     # full-size |fhat_j| outlives its transform
-    kept, top = [], 0.0
-    for j, g in enumerate(grids):
-        fhat = (_rung_spectrum(a, j, half) if g == a.reading_grids[j]
+    kept, top = [None] * len(grids), 0.0
+    for j in reversed(range(len(grids))):
+        fhat = (_rung_spectrum(a, j, half) if grids[j] == a.reading_grids[j]
                 else _spectrum(a, j, half))
         mag = np.abs(fhat).ravel()
+        fhat = None
         peak = float(mag.max())
         nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
-        kept.append((nodes, mag[nodes]))
+        kept[j] = (nodes, mag[nodes])
+        mag = None
         top = max(top, peak)
     # one floor for the whole ladder: frames windowed down to rounding noise
     # must not be re-normalized into fake decay data

@@ -183,13 +183,16 @@ class TestCost:
     @pytest.fixture
     def inverse_sizes(self, transform_counts, monkeypatch):
         sizes = []
-        counted = estimators.inverse
 
-        def recorded(fhat, g, **kwargs):
-            sizes.append((np.size(fhat), g.n))
-            return counted(fhat, g, **kwargs)
+        def recording(counted):
+            def recorded(fhat, g, *args, **kwargs):
+                sizes.append((np.size(fhat), g.n))
+                return counted(fhat, g, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(estimators, "inverse", recorded)
+        for name in ("inverse", "_inverse_of"):
+            monkeypatch.setattr(estimators, name,
+                                recording(getattr(estimators, name)))
         return sizes
 
     def test_one_forward_and_four_inverses_per_rung(self, deep,
@@ -200,8 +203,9 @@ class TestCost:
         rungs = net.ladder.count
         assert transform_counts == {"forward": rungs,
                                     "inverse": rungs * MODERATION_ALPHA_MAX}
+        # finest rung first
         expected = []
-        for m in (1, 1, 1, 1, 2, 4, 8, 16, 32, 64):
+        for m in (64, 32, 16, 8, 4, 2, 1, 1, 1, 1):
             n = net.grid.n * m
             expected += [(n // 2 + 1, n)] * MODERATION_ALPHA_MAX
         assert inverse_sizes == expected
