@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import rung_oversample
-from .grids import GridSpec, _inverse_of, _symbols, forward, inverse
-from .mollifier import SPECTRAL_FLOOR  # noqa: F401 (importable from here)
+from .grids import GridSpec, _symbols, forward, inverse
 from .nets import (EpsilonLadder, GrowthVerdict, NetFunction, SequenceScale,
                    _bounded_residual, _kept_spectra, _samples, _spectrum,
                    _stored, _warn_boundary_mass, classify_growth)
@@ -84,7 +83,7 @@ def _key_radii(grid: GridSpec, keys: np.ndarray) -> np.ndarray:
     """|xi| of radius keys, bitwise as on the dual grid: |xi| of the nodes
     with these axis indices, through the same ``abs``/``hypot``."""
     m = grid.n // 2 + 1
-    abs_xi = np.abs(grid.half_dual_axis())
+    abs_xi = np.abs(grid.dual_axis()[:m])
     if grid.dim == 1:
         return abs_xi[keys]
     lo, hi = np.divmod(keys, m)
@@ -117,21 +116,17 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
 
     The order-0 row reads each rung where ``a.sups`` does
     (:func:`nets._stored`), on a grid refined until the box holds a node of
-    it (:func:`nets._samples`): a net with a reach, a window included, on
-    its reading grids, any other net on its frames.  The derivatives of
-    rung j are taken on its own alias-free grid, the base grid refined m_j
-    times (see :func:`_rung_oversamples`): the frame's spectrum at
-    |k| <= n_j/2 is read once (:func:`nets._spectrum`), and each
-    alpha != 0 costs one inverse of size n_j, whose sup is read at that
-    grid's box nodes.
-    Rungs are processed one at a time, finest first: m_j does not decrease
-    along the ladder, so the first rung's grid is the largest, and what
-    later rungs allocate fits in the heap space the earlier ones freed.
-    A rung's symbols (:func:`grids._symbols`) are built one alpha at a
-    time, and its products fhat * sym and their inverses
-    (:func:`grids._inverse_of`) are written into two buffers kept while
-    the grid is; so a second call reuses the pages the first one faulted
-    in, where the C heap keeps them (``grids._set_heap_policy``).
+    it (:func:`nets._samples`): a net with a reach on its reading grids,
+    any other net on its frames.  The derivatives of rung j are taken on
+    its own alias-free grid, the base grid refined m_j times (see
+    :func:`_rung_oversamples`): the frame's spectrum at |k| <= n_j/2 is
+    read once (:func:`nets._spectrum`), and each alpha != 0 costs one
+    inverse of size n_j, whose sup is read at that grid's box nodes.
+    Frames are processed one at a time, finest first: m_j does not
+    decrease along the ladder, so each rung grid's symbols
+    (:func:`grids._symbols`) are built once, on that grid, one grid's
+    symbols are held at a time, and what a rung allocates fits in the heap
+    space that the larger rungs before it freed.
     """
     if alpha_max > 16:
         raise ValueError("alpha_max capped at 16")
@@ -148,8 +143,9 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
     box_grid = a.grid.refine(_box_refinement(a, box))
     if alpha_max:
         rung_m = _rung_oversamples(a, box)
-    prod = None
+    coarse = None
     for j in reversed(range(a.ladder.count)):
+        eps = a.ladder.values[j]
         # where a.sups reads the rung (nets._stored), refined for the box
         g = a.reading_grids[j]
         if g.n < box_grid.n:
@@ -157,21 +153,15 @@ def _derivative_sups(a: NetFunction, box, alpha_max: int,
         sups[0, j] = np.abs(_samples(a, j, g)[box_on(g)]).max()
         if not alpha_max:
             continue
-        fhat = None
-        coarse = a.grid.refine(rung_m[j])
-        box_coarse = box_on(coarse)
-        _warn_boundary_mass(a.ladder.values[j], _stored(a, j), a.sups[j],
-                            warn_label)
+        if coarse is None or coarse.n != a.grid.n * rung_m[j]:
+            coarse = a.grid.refine(rung_m[j])
+            symbols = _symbols(coarse, alphas[1:], half,
+                               cut=coarse.n < fine.n)
+            box_coarse = box_on(coarse)
+        _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
         fhat = _spectrum(a, j, half, coarse)
-        if prod is None or prod.shape != fhat.shape:
-            prod = deriv = None
-            prod = np.empty_like(fhat)
-            deriv = np.empty(coarse.shape, dtype=float if half else complex)
-        for i, alpha in enumerate(alphas[1:], start=1):
-            sym, = _symbols(coarse, [alpha], half, cut=coarse.n < fine.n)
-            np.multiply(fhat, sym, out=prod)
-            sym = None
-            _inverse_of(prod, coarse, half, out=deriv)
+        for i, sym in enumerate(symbols, start=1):
+            deriv = inverse(fhat * sym, coarse)
             sups[i, j] = np.abs(deriv[box_coarse]).max()
     return alphas, sups
 
@@ -319,13 +309,12 @@ def _log_transform_sups(a: NetFunction, grades, scale: SequenceScale,
     n_keys = (top_grid.n // 2 + 1) ** top_grid.dim
     grades = np.asarray(grades, dtype=float)
     # the nodes some frame on each grid keeps (the data nodes) and their
-    # radius keys; each frame's arrays are replaced in turn, finest first
-    # as _kept_spectra reads them, to bound the peak memory
+    # radius keys; each frame's arrays are replaced in turn, to bound the
+    # peak memory
     data = {g: np.zeros(g.n ** (g.dim - 1) * (g.n // 2 + 1 if half else g.n),
                         dtype=bool) for g in dict.fromkeys(grids)}
     used = np.zeros(n_keys, dtype=bool)
-    for j in reversed(range(len(frames))):
-        (nodes, vals), g = frames[j], grids[j]
+    for j, ((nodes, vals), g) in enumerate(zip(frames, grids)):
         keys = _radius_keys(g, g.n // 2 + 1 if half else g.n, nodes)
         data[g][nodes] = True
         used[keys] = True

@@ -92,11 +92,8 @@ class GridSpec:
 
     def half_dual_axis(self) -> np.ndarray:
         """The first n//2 + 1 dual nodes in fft order: 0 and the positive
-        nodes, then the Nyquist node -pi/dx; bitwise those of
-        :meth:`dual_axis`, without building the other half."""
-        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.spacing)
-        xi[-1] = -xi[-1]
-        return xi
+        nodes, then the Nyquist node -pi/dx."""
+        return self.dual_axis()[: self.n // 2 + 1]
 
     def points(self):
         """Coordinate arrays: the axis itself (1-D) or a meshgrid pair (2-D)."""
@@ -174,23 +171,13 @@ def inverse(fhat: np.ndarray, grid: GridSpec) -> np.ndarray:
     if not half and np.shape(fhat) != grid.shape:
         raise ValueError(f"no spectrum on {grid} has shape {np.shape(fhat)}")
     # the phase may not overwrite ``fhat``; the transform's output may
-    return _inverse_of(np.array(fhat, dtype=complex), grid, half)
-
-
-def _inverse_of(spec: np.ndarray, grid: GridSpec, half: bool,
-                out: np.ndarray = None) -> np.ndarray:
-    """:func:`inverse` of a complex spectrum, a half one with ``half``,
-    which it overwrites, written into ``out`` when given (real samples
-    with ``half``, else complex): a caller that inverts many spectra on
-    one grid keeps one spectrum buffer and one output buffer."""
-    _alternate(spec)
+    out = _alternate(np.array(fhat, dtype=complex))
     if half:
-        np.conjugate(spec, out=spec)
-        out = np.fft.irfftn(spec, s=grid.shape, axes=range(grid.dim),
-                            out=out)
+        np.conjugate(out, out=out)
+        out = np.fft.irfftn(out, s=grid.shape, axes=range(grid.dim))
         out /= grid.spacing ** grid.dim
         return out
-    out = np.fft.fftn(spec, out=out)
+    out = np.fft.fftn(out)
     out /= (grid.n * grid.spacing) ** grid.dim
     return out
 

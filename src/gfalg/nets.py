@@ -13,13 +13,12 @@ of ``grid`` whose Nyquist frequency holds the rung's reach
 (``NetFunction.reach``), ALIAS_MARGIN * 2/eps_j plus the reach of each
 window (``mollifier.window_reach``).  Its frames are then a view
 (:class:`_LazyRungs`) that builds each frame on the fine grid on its first
-read.  One rule says where a rung is read: a net with a reach, a window
-included, on its reading grids, any other net on its frames.  So the sups,
-the order-0 row of ``classify_net``, windows, wave-front boxes, the CLI's
-frame tables, and the decay tests and the weight-function mode's FL^1
-norms (both over the nodes above one noise floor, :func:`_kept_spectra`)
-read the reading grids; ring operations, point values, derivatives and
-ultradifferential operators read the view.
+read.  A net with a reach, a window included, is read on its reading
+grids: its sups, the order-0 row of ``classify_net``, windows, wave-front
+boxes, the CLI's frame tables, and the decay tests and the weight-function
+mode's FL^1 norms, both over the nodes above one noise floor
+(:func:`_kept_spectra`); any other net on its frames.  Ring operations,
+point values, derivatives and ultradifferential operators read the view.
 """
 
 from __future__ import annotations
@@ -193,16 +192,12 @@ class NetFunction:
         """Each rung's samples on its reading grid, made once per net on
         first use: the frames themselves without a reach, else inverted
         from the carried bands there (:func:`_band_samples`); a window
-        stores its own (:func:`_windowed`).  Bands are inverted finest
-        rung first, largest grid first, so that each smaller rung's
-        transform fits in the heap space the larger ones freed."""
+        stores its own (:func:`_windowed`)."""
         if self.spectra is None:
             return tuple(self.frames)
         bands, ramp = self.spectra
-        rungs = range(self.ladder.count)
-        built = {j: _band_samples(bands[j], ramp, self.reading_grids[j])
-                 for j in reversed(rungs)}
-        return tuple(built[j] for j in rungs)
+        return tuple(_band_samples(band, ramp, g)
+                     for band, g in zip(bands, self.reading_grids))
 
     @cached_property
     def sups(self) -> np.ndarray:
@@ -398,23 +393,21 @@ def _kept_spectra(a: NetFunction, on_fine: bool) -> tuple:
     floor of the ladder: the grid it is read on (the rung's reading grid,
     :func:`_rung_spectrum`, or with ``on_fine`` the fine grid,
     :func:`_spectrum`), and per rung the flat indices of the kept nodes and
-    |fhat| there.  Real frames are read on the half spectrum.  Rungs are
-    read finest first, largest grid first, so that each smaller rung's
-    buffers fit in the heap space the larger ones freed."""
+    |fhat| there.  Real frames are read on the half spectrum."""
     half = a.real
     grids = [a.fine_grid if on_fine else g for g in a.reading_grids]
     # keep each frame's nodes above its own floor SPECTRAL_FLOOR * max|fhat_j|:
     # that floor is at most the ladder-wide one, so no node is lost, and no
     # full-size |fhat_j| outlives its transform
-    kept, top = [None] * len(grids), 0.0
-    for j in reversed(range(len(grids))):
-        fhat = (_rung_spectrum(a, j, half) if grids[j] == a.reading_grids[j]
+    kept, top = [], 0.0
+    for j, g in enumerate(grids):
+        fhat = (_rung_spectrum(a, j, half) if g == a.reading_grids[j]
                 else _spectrum(a, j, half))
         mag = np.abs(fhat).ravel()
         fhat = None
         peak = float(mag.max())
         nodes = np.flatnonzero(mag > SPECTRAL_FLOOR * peak)
-        kept[j] = (nodes, mag[nodes])
+        kept.append((nodes, mag[nodes]))
         mag = None
         top = max(top, peak)
     # one floor for the whole ladder: frames windowed down to rounding noise
@@ -433,7 +426,7 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
     has an imaginary part.  On a real 1-D net f^(k) = i^k D^k f is real, and
     the parts sum Re(b_k) f^(k) and sum Im(b_k) f^(k) take one half-axis
     inverse each if some b_k has one.  The boundary check reads the rung
-    transformed: a frame, unless bands are (a window builds no samples)."""
+    as stored, but a window's frame, so that a window builds no samples."""
     fine = a.fine_grid
     half = a.grid.dim == 1 and a.real
     terms = [(complex(c) * _I_POWERS[-alpha[0] % 4] if half else c, sym)
@@ -444,8 +437,11 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
               if half else sum(b * sym for b, sym in terms))
     frames = []
     for j, eps in enumerate(a.ladder.values):
-        rung = _stored(a, j) if a.spectra else a.frames[j]
-        _warn_boundary_mass(eps, rung, np.max(np.abs(rung)), warn_label)
+        if a.reach is not None and a.spectra is None:
+            rung = a.frames[j]
+            _warn_boundary_mass(eps, rung, np.max(np.abs(rung)), warn_label)
+        else:
+            _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
         fhat = _spectrum(a, j, half)
         if half:
             out = np.zeros(fine.n, dtype=complex if np.ndim(symbol["imag"])

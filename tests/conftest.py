@@ -54,23 +54,20 @@ def catalog(grid, ladder, seq, moll):
 @pytest.fixture
 def transform_counts(monkeypatch):
     """Counts of the grids.forward / grids.inverse calls made through the
-    estimators module (inverses into reused buffers, grids._inverse_of,
-    included), and of the frame transforms of the spectrum reader
+    estimators module, and of the frame transforms of the spectrum reader
     nets._spectrum, from here on."""
     from gfalg import estimators, nets
     calls = {"forward": 0, "inverse": 0}
 
-    def counting(module, name, key=None):
+    def counting(module, name):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[key or name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return counted
 
     for name in calls:
         monkeypatch.setattr(estimators, name, counting(estimators, name))
-    monkeypatch.setattr(estimators, "_inverse_of",
-                        counting(estimators, "_inverse_of", "inverse"))
     monkeypatch.setattr(nets, "forward", counting(nets, "forward"))
     return calls

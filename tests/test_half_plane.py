@@ -9,12 +9,12 @@ import pytest
 
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.errors import ResolutionError
-from gfalg.estimators import (PATTERN_GRID, SPECTRAL_FLOOR,
-                              _log_transform_sups)
+from gfalg.estimators import PATTERN_GRID, _log_transform_sups
 from gfalg.grids import GridSpec, forward, inverse
 from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, MIN_CONE_NODES, Cone,
                               ConePartition, _cone_masks, _fold, sigma_g,
                               wavefront)
+from gfalg.mollifier import SPECTRAL_FLOOR
 from gfalg.nets import EpsilonLadder, SequenceScale, window_net
 from gfalg.weights import assoc, resolved_for
 

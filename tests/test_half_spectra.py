@@ -9,12 +9,12 @@ import pytest
 from gfalg import distributions, estimators, nets
 from gfalg.distributions import ModelDistribution, regularize
 from gfalg.estimators import (MODERATION_ALPHA_MAX, PATTERN_GRID,
-                              SPECTRAL_FLOOR, _derivative_sups,
-                              _log_transform_sups, classify_net,
-                              regularity_test)
+                              _derivative_sups, _log_transform_sups,
+                              classify_net, regularity_test)
 from gfalg.grids import GridSpec, forward, inverse
 from gfalg.microlocal import (LOW_FREQUENCY_CUTOFF, ConePartition, _fold,
                               sigma_g)
+from gfalg.mollifier import SPECTRAL_FLOOR
 from gfalg.nets import EpsilonLadder, SequenceScale, _stored, window_net
 
 U = np.finfo(float).eps / 2  # unit round-off
@@ -221,12 +221,10 @@ class TestFullSpectraKept:
         return sizes
 
     def test_real_1d_net_takes_the_half_axis(self, catalog, spectrum_sizes):
-        # one half-axis spectrum per rung, each on the rung's reading grid,
-        # finest rung first
+        # one half-axis spectrum per rung, each on the rung's reading grid
         net = windowed(catalog, "delta", 0.0, 0.5)
         sigma_g(net, mode="beurling")
-        assert spectrum_sizes == [(g.n // 2 + 1,)
-                                  for g in reversed(net.reading_grids)]
+        assert spectrum_sizes == [(g.n // 2 + 1,) for g in net.reading_grids]
 
     def test_complex_net_takes_the_full_axis(self, catalog, spectrum_sizes):
         net = as_complex(windowed(catalog, "delta", 0.0, 0.5))

@@ -207,8 +207,7 @@ class TestOneTablePerCall:
                                               monkeypatch):
         # real 1-D nets read the half axis; complex 1-D and 2-D nets the
         # full one, and on a 2-D net the coarse rungs cut 1024^2 nodes to
-        # 256^2 and 512^2; each rung, finest first, builds its symbols on
-        # its own grid one alpha at a time
+        # 256^2 and 512^2
         delta = catalog("delta")
         gauss2d = constant_embed(lambda x, y: np.exp(-x ** 2 - y ** 2),
                                  EpsilonLadder(0.25, 0.5, 6),
@@ -218,7 +217,7 @@ class TestOneTablePerCall:
         build = estimators._symbols
 
         def recorded(g, alphas, half=False, cut=False):
-            builds.append((g.n, list(alphas), half, cut))
+            builds.append((g.n, half, cut))
             return build(g, alphas, half, cut)
 
         monkeypatch.setattr(estimators, "_symbols", recorded)
@@ -229,8 +228,9 @@ class TestOneTablePerCall:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 _derivative_sups(net, box, 4, "test")
-            sizes = [net.grid.n * m for m in _rung_oversamples(net, box)]
-            assert len(set(sizes)) > 1
-            alphas = estimators._multi_indices(net.grid.dim, 4)[1:]
-            assert builds == [(n, [alpha], half, n < net.fine_grid.n)
-                              for n in reversed(sizes) for alpha in alphas]
+            # once per rung grid, finest first
+            sizes = sorted({net.grid.n * m
+                            for m in _rung_oversamples(net, box)},
+                           reverse=True)
+            assert len(sizes) > 1
+            assert builds == [(n, half, n < net.fine_grid.n) for n in sizes]

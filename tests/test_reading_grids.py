@@ -327,8 +327,8 @@ class TestBbReadsTheKeptNodes:
         monkeypatch.setattr(nets, "forward", recorded)
         monkeypatch.setattr(bb, "forward", recorded)
         classify_net_bb(netw, WEIGHTS["log1p"])
-        # one forward per rung, each on its reading grid, finest rung first
-        assert calls == [g.n for g in reversed(netw.reading_grids)]
+        # one forward per rung, each on its reading grid
+        assert calls == [g.n for g in netw.reading_grids]
         assert all(fr is None for fr in netw.frames._built)
         assert all(fr is None for fr in net.frames._built)
 
