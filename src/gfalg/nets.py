@@ -435,13 +435,13 @@ def _apply_symbol(a: NetFunction, coeffs: dict,
     symbol = ({"real": sum(b.real * sym for b, sym in terms if b.real),
                "imag": sum(b.imag * sym for b, sym in terms if b.imag)}
               if half else sum(b * sym for b, sym in terms))
+    # a window's frames, which it keeps, are all built before the transforms
+    window = a.reach is not None and a.spectra is None
+    sups = [np.max(np.abs(fr)) for fr in a.frames] if window else a.sups
     frames = []
     for j, eps in enumerate(a.ladder.values):
-        if a.reach is not None and a.spectra is None:
-            rung = a.frames[j]
-            _warn_boundary_mass(eps, rung, np.max(np.abs(rung)), warn_label)
-        else:
-            _warn_boundary_mass(eps, _stored(a, j), a.sups[j], warn_label)
+        _warn_boundary_mass(eps, a.frames[j] if window else _stored(a, j),
+                            sups[j], warn_label)
         fhat = _spectrum(a, j, half)
         if half:
             out = np.zeros(fine.n, dtype=complex if np.ndim(symbol["imag"])
